@@ -6,9 +6,9 @@ Catalyst pushes below the aggregation. Results (small per-key frames) are
 collected to pandas for the driver-side model training, and memoised by SQL
 text — TPE frequently revisits configurations.
 
-``augment`` implements Definition 3 (training table LEFT JOIN query results)
-as a Spark DataFrame transformation, which is the path used to build the
-final augmented table.
+``merge_features`` implements Definition 3 (training table LEFT JOIN query
+results, absent groups filled with 0) on the driver-side splits; the search
+loop and the final evaluation both use it.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as fn
 
 from repro.core.space import Query
 from repro.core.sqlgen import build_sql
@@ -74,27 +73,14 @@ class QueryExecutor:
         pdf = pdf.rename(columns={"feature": name})
         return FeatureFrame(name=name, keys=q.keys, frame=pdf, sql=sql)
 
-    def augment(self, D: DataFrame, feats: list[FeatureFrame]) -> DataFrame:
-        """Definition 3 as Spark dataflow: left-join each q(R) into D."""
-        out = D
-        for f in feats:
-            qr = self.spark.createDataFrame(f.frame)
-            out = out.join(qr, on=list(f.keys), how="left")
-        # Absent groups (key never passed the predicate) contribute 0, the
-        # same fill the driver-side merge applies.
-        return out.na.fill({f.name: 0.0 for f in feats})
-
     def unpersist(self) -> None:
         self.R.unpersist()
         self.spark.catalog.dropTempView(self.view)
 
 
 def merge_features(base: pd.DataFrame, feats: list[FeatureFrame]) -> pd.DataFrame:
-    """Driver-side Definition-3 merge used inside the search loop.
-
-    Left-joins each feature frame on its (possibly subset) key columns and
-    fills absent groups with 0 — mirroring :meth:`QueryExecutor.augment`.
-    """
+    """Definition 3: left-join each feature frame into ``base`` on its
+    (possibly subset) key columns and fill absent groups with 0."""
     out = base
     for f in feats:
         cols = [*f.keys, f.name]
@@ -104,9 +90,3 @@ def merge_features(base: pd.DataFrame, feats: list[FeatureFrame]) -> pd.DataFram
         out[names] = out[names].astype(float).fillna(0.0)
     return out
 
-
-def weak_join_count(D: DataFrame, R: DataFrame, keys: list[str]) -> float:
-    """Average R rows per D key — sanity check that R is one-to-many."""
-    per_key = R.groupBy(*keys).agg(fn.count(fn.lit(1)).alias("c"))
-    row = D.join(per_key, on=keys, how="left").agg(fn.avg("c")).first()
-    return float(row[0]) if row[0] is not None else 0.0

@@ -17,9 +17,7 @@ from repro.experiments.harness import (
     DEFAULT_SEED,
     TABLE3_METHODS,
     budget_from_env,
-    build_context,
-    run_method,
-    save_and_print,
+    run_grid,
 )
 
 MODELS = ("LR", "XGB", "RF", "DeepFM")
@@ -29,14 +27,6 @@ def run_table3(spark, *, scale: float = DEFAULT_SCALE,
                budget: BudgetProfile | None = None, seed: int = DEFAULT_SEED,
                datasets=tuple(ONE_TO_MANY), models=MODELS,
                methods=TABLE3_METHODS, save: bool = True) -> pd.DataFrame:
-    budget = budget or budget_from_env()
-    rows = []
-    for name in datasets:
-        ctx, pool = build_context(spark, ONE_TO_MANY[name],
-                                  scale=scale, budget=budget, seed=seed)
-        for model in models:
-            for method in methods:
-                rows.append(run_method(method, ctx, pool, model, seed=seed))
-        ctx.close()
-    df = pd.DataFrame(rows)
-    return save_and_print(df, "table3") if save else df
+    return run_grid(spark, ONE_TO_MANY, "table3", datasets=datasets,
+                    models=models, methods=methods, scale=scale,
+                    budget=budget or budget_from_env(), seed=seed, save=save)

@@ -7,20 +7,15 @@ the paper's Table VI and are omitted here too. Metric: macro-F1.
 """
 from __future__ import annotations
 
-import time
-
 import pandas as pd
 
-from repro.baselines import run_arda, run_autofeature
 from repro.core.config import BudgetProfile
 from repro.datasets import ONE_TO_ONE
 from repro.experiments.harness import (
     DEFAULT_SCALE,
     DEFAULT_SEED,
     budget_from_env,
-    build_context,
-    run_method,
-    save_and_print,
+    run_grid,
 )
 
 MODELS = ("LR", "XGB", "RF")
@@ -32,28 +27,6 @@ def run_table6(spark, *, scale: float = DEFAULT_SCALE,
                budget: BudgetProfile | None = None, seed: int = DEFAULT_SEED,
                datasets=tuple(ONE_TO_ONE), models=MODELS, methods=METHODS,
                save: bool = True) -> pd.DataFrame:
-    budget = budget or budget_from_env()
-    rows = []
-    for name in datasets:
-        ctx, pool = build_context(spark, ONE_TO_ONE[name],
-                                  scale=scale, budget=budget, seed=seed)
-        for model in models:
-            for method in methods:
-                t0 = time.time()
-                if method == "ARDA":
-                    value = run_arda(ctx, model, seed=seed).result.test_metric
-                elif method.startswith("AutoFeat-"):
-                    value = run_autofeature(
-                        ctx, model, mode=method.split("-")[1], seed=seed,
-                    ).result.test_metric
-                else:
-                    rows.append(run_method(method, ctx, pool, model, seed=seed))
-                    continue
-                rows.append({
-                    "dataset": ctx.bundle.name, "model": model,
-                    "method": method, "metric": "F1", "value": value,
-                    "seconds": round(time.time() - t0, 2),
-                })
-        ctx.close()
-    df = pd.DataFrame(rows)
-    return save_and_print(df, "table6") if save else df
+    return run_grid(spark, ONE_TO_ONE, "table6", datasets=datasets,
+                    models=models, methods=methods, scale=scale,
+                    budget=budget or budget_from_env(), seed=seed, save=save)

@@ -8,22 +8,17 @@ Grid: 4 one-to-many datasets × 4 models × 3 variants.
 """
 from __future__ import annotations
 
-import time
-
 import pandas as pd
 
 from repro.core.config import SWEEP, BudgetProfile
-from repro.core.feataug import run_feataug
 from repro.datasets import ONE_TO_MANY
 from repro.experiments.harness import (
     DEFAULT_SCALE,
     DEFAULT_SEED,
     budget_from_env,
-    build_context,
-    save_and_print,
+    run_grid,
 )
 from repro.experiments.table3 import MODELS
-from repro.models.metrics import metric_name
 
 VARIANTS = ("FeatAug(NoQTI)", "FeatAug(NoWU)", "FeatAug(Full)")
 
@@ -32,25 +27,7 @@ def run_table7(spark, *, scale: float = DEFAULT_SCALE,
                budget: BudgetProfile | None = None, seed: int = DEFAULT_SEED,
                datasets=tuple(ONE_TO_MANY), models=MODELS,
                save: bool = True) -> pd.DataFrame:
-    budget = budget or budget_from_env(SWEEP)
-    rows = []
-    for name in datasets:
-        ctx, _pool = build_context(spark, ONE_TO_MANY[name],
-                                   scale=scale, budget=budget, seed=seed)
-        for model in models:
-            for variant in VARIANTS:
-                t0 = time.time()
-                out = run_feataug(
-                    ctx, model, seed=seed,
-                    use_qti="NoQTI" not in variant,
-                    use_warmup="NoWU" not in variant,
-                )
-                rows.append({
-                    "dataset": name, "model": model, "method": variant,
-                    "metric": metric_name(ctx.bundle.task),
-                    "value": out.result.test_metric,
-                    "seconds": round(time.time() - t0, 2),
-                })
-        ctx.close()
-    df = pd.DataFrame(rows)
-    return save_and_print(df, "table7") if save else df
+    return run_grid(spark, ONE_TO_MANY, "table7", datasets=datasets,
+                    models=models, methods=VARIANTS, scale=scale,
+                    budget=budget or budget_from_env(SWEEP), seed=seed,
+                    save=save)

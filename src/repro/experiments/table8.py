@@ -6,22 +6,17 @@ FeatAug.
 """
 from __future__ import annotations
 
-import time
-
 import pandas as pd
 
 from repro.core.config import SWEEP, BudgetProfile
-from repro.core.feataug import run_feataug
 from repro.datasets import ONE_TO_MANY
 from repro.experiments.harness import (
     DEFAULT_SCALE,
     DEFAULT_SEED,
     budget_from_env,
-    build_context,
-    save_and_print,
+    run_grid,
 )
 from repro.experiments.table3 import MODELS
-from repro.models.metrics import metric_name
 
 PROXIES = ("SC", "MI", "LR")
 
@@ -30,21 +25,7 @@ def run_table8(spark, *, scale: float = DEFAULT_SCALE,
                budget: BudgetProfile | None = None, seed: int = DEFAULT_SEED,
                datasets=tuple(ONE_TO_MANY), models=MODELS, proxies=PROXIES,
                save: bool = True) -> pd.DataFrame:
-    budget = budget or budget_from_env(SWEEP)
-    rows = []
-    for name in datasets:
-        ctx, _pool = build_context(spark, ONE_TO_MANY[name],
-                                   scale=scale, budget=budget, seed=seed)
-        for model in models:
-            for proxy in proxies:
-                t0 = time.time()
-                out = run_feataug(ctx, model, seed=seed, proxy=proxy)
-                rows.append({
-                    "dataset": name, "model": model, "method": f"FeatAug({proxy})",
-                    "metric": metric_name(ctx.bundle.task),
-                    "value": out.result.test_metric,
-                    "seconds": round(time.time() - t0, 2),
-                })
-        ctx.close()
-    df = pd.DataFrame(rows)
-    return save_and_print(df, "table8") if save else df
+    return run_grid(spark, ONE_TO_MANY, "table8", datasets=datasets,
+                    models=models, methods=[f"FeatAug({p})" for p in proxies],
+                    scale=scale, budget=budget or budget_from_env(SWEEP),
+                    seed=seed, save=save)

@@ -1,9 +1,7 @@
-"""QueryExecutor: Catalyst execution, memoisation, Definition-3 augmentation."""
-import numpy as np
+"""QueryExecutor: Catalyst execution, memoisation; merge_features: Definition 3."""
 import pandas as pd
-import pytest
 
-from repro.core.executor import weak_join_count
+from repro.core.executor import merge_features
 from repro.core.space import Predicate, Query
 from repro.core.sqlgen import build_sql
 from repro.oracle import assert_equivalent
@@ -58,7 +56,7 @@ class TestMemoisation:
 
 class TestAugment:
     def test_definition3_matches_oracle(self, spark, lineitem_executor, lineitem_small):
-        """executor.augment == the paper's Definition-3 SQL run on DuckDB."""
+        """merge_features == the paper's Definition-3 SQL run on DuckDB."""
         from repro import synth_data
         orders = synth_data.orders(spark, sf=0.001, seed=1)
         q = Query("AVG", "l_extendedprice",
@@ -66,8 +64,8 @@ class TestAugment:
                   ("l_orderkey",))
         f = lineitem_executor.feature_frame(q, "feature")
         D = orders.select("o_orderkey", "o_totalprice") \
-                  .withColumnRenamed("o_orderkey", "l_orderkey")
-        aug = lineitem_executor.augment(D, [f])
+                  .withColumnRenamed("o_orderkey", "l_orderkey").toPandas()
+        aug = merge_features(D, [f])
         inner = build_sql(q, "li", "duckdb")
         oracle_sql = (
             f"WITH qr AS ({inner}) "
@@ -75,21 +73,4 @@ class TestAugment:
             "COALESCE(qr.feature, 0.0) AS feature "
             "FROM d LEFT JOIN qr ON d.l_orderkey = qr.l_orderkey"
         )
-        assert_equivalent(aug, oracle_sql, d=D, li=lineitem_small)
-
-    def test_missing_groups_filled_zero(self, spark, lineitem_executor):
-        q = Query("COUNT", "l_quantity",
-                  (Predicate("l_returnflag", "eq", "string", value="N"),),
-                  ("l_orderkey",))
-        f = lineitem_executor.feature_frame(q, "cnt_n")
-        missing_key = int(f.frame["l_orderkey"].max()) + 10_000
-        D = spark.createDataFrame(pd.DataFrame({"l_orderkey": [missing_key]}))
-        row = lineitem_executor.augment(D, [f]).collect()[0]
-        assert row["cnt_n"] == 0.0
-
-
-class TestWeakJoinCount:
-    def test_one_to_many_average(self, spark):
-        D = spark.createDataFrame(pd.DataFrame({"k": [1, 2]}))
-        R = spark.createDataFrame(pd.DataFrame({"k": [1, 1, 1, 2], "v": range(4)}))
-        assert weak_join_count(D, R, ["k"]) == pytest.approx(2.0)
+        assert_equivalent(spark.createDataFrame(aug), oracle_sql, d=D, li=lineitem_small)

@@ -30,6 +30,9 @@ class TestFullRun:
         again = run_feataug(tmall_ctx, "LR", seed=0)
         assert again.result.test_metric == full.result.test_metric
         assert [f.sql for f in again.features] == [f.sql for f in full.features]
+        a, b = (run_feataug(tmall_ctx, "LR", seed=0, use_qti=False) for _ in range(2))
+        assert a.result.test_metric == b.result.test_metric
+        assert [f.sql for f in a.features] == [f.sql for f in b.features]
 
 
 class TestAblations:

@@ -8,7 +8,6 @@ semantics drift — not just "it ran".
 """
 import pytest
 
-from repro import synth_data
 from repro.core.space import Predicate, Query
 from repro.core.sqlgen import build_sql
 from repro.core.template import PAPER_AGGS
