@@ -64,9 +64,11 @@ def spark() -> SparkSession:
     """
     s = (
         SparkSession.builder.appName("repro")
+        # few shuffle partitions, as in jobs/run.py::get_spark: the search
+        # loop runs hundreds of small GROUP BY queries
         .config(
             "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
+            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "4"),
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -37,8 +37,10 @@ TABLES = {"info": dataset_info, "3": run_table3, "6": run_table6,
 def get_spark(app: str) -> SparkSession:
     return (
         SparkSession.builder.appName(app)
+        # few shuffle partitions: the search loop runs hundreds of small
+        # GROUP BY queries, each paying per-task overhead
         .config("spark.sql.shuffle.partitions",
-                os.environ.get("SPARK_SHUFFLE_PARTITIONS", "8"))
+                os.environ.get("SPARK_SHUFFLE_PARTITIONS", "4"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.enabled", "false")

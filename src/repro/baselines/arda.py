@@ -14,6 +14,11 @@ from repro.core.executor import FeatureFrame
 from repro.core.feataug import DatasetContext, FeatAugOutput
 from repro.models.forest import RandomForest
 
+#: noise probes injected next to the real candidates, and the multiples of
+#: their median importance tried as the keep threshold
+_N_NOISE = 8
+_THRESHOLDS = (0.5, 1.0, 2.0)
+
 
 def direct_join_pool(ctx: DatasetContext, prefix: str) -> list[FeatureFrame]:
     """Each non-key relevant-table column as a directly-joinable feature."""
@@ -33,25 +38,23 @@ def direct_join_pool(ctx: DatasetContext, prefix: str) -> list[FeatureFrame]:
     return pool
 
 
-def run_arda(ctx: DatasetContext, model_name: str, *, seed: int = 0,
-             n_noise: int = 8, thresholds=(0.5, 1.0, 2.0)) -> FeatAugOutput:
+def run_arda(ctx: DatasetContext, model_name: str, *, seed: int = 0) -> FeatAugOutput:
     bundle, budget = ctx.bundle, ctx.budget
     evaluator = ctx.evaluator(model_name, seed=seed)
     rng = np.random.default_rng(seed + 31)
     pool = direct_join_pool(ctx, prefix=f"arda{seed}")
 
     tr = evaluator.splits.train
-    F = np.column_stack([evaluator.feature_on(tr, f) for f in pool])
-    noise = rng.normal(0, 1, (F.shape[0], n_noise))
-    X = np.nan_to_num(np.hstack([F, noise]), nan=0.0)
-    y = tr[evaluator.splits.label].to_numpy()
+    F = evaluator.matrix(tr, pool, base=False)
+    X = np.hstack([F, rng.normal(0, 1, (F.shape[0], _N_NOISE))])
+    y = evaluator.labels(tr)
     rf = RandomForest(task=bundle.task, n_trees=12, max_depth=5, seed=seed).fit(X, y)
     imps = rf.feature_importances()
     feat_imp, noise_imp = imps[: len(pool)], imps[len(pool):]
     level = max(float(np.median(noise_imp)), 1e-12)
 
     best = None
-    for tau in thresholds:
+    for tau in _THRESHOLDS:
         keep = [pool[i] for i in np.argsort(-feat_imp)
                 if feat_imp[i] > tau * level][: budget.n_features]
         if not keep:

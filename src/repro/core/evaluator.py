@@ -10,6 +10,9 @@ The split frames live driver-side (the training table is small; the heavy
 table is the relevant one, which stays in Spark): each evaluation merges the
 per-key feature frames produced by generated Spark SQL queries into the
 splits and trains a fresh, seeded numpy model.
+
+``DownstreamEvaluator.matrix`` / ``labels`` are the only conversion from
+feature frames to model input; proxies, selectors and baselines read them too.
 """
 from __future__ import annotations
 
@@ -42,14 +45,12 @@ class TableSplits:
 
 
 def make_splits(D: pd.DataFrame, keys, base_features, task: str, *,
-                seed: int = 0, ratios=(0.6, 0.2, 0.2)) -> TableSplits:
+                seed: int = 0) -> TableSplits:
     """Shuffle-split D by the paper's 0.6/0.2/0.2 ratios."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("ratios must sum to 1")
     rng = np.random.default_rng(seed)
     idx = rng.permutation(len(D))
-    n_tr = int(len(D) * ratios[0])
-    n_va = int(len(D) * ratios[1])
+    n_tr = int(len(D) * 0.6)
+    n_va = int(len(D) * 0.2)
     D = D.reset_index(drop=True)
     return TableSplits(
         train=D.iloc[idx[:n_tr]].reset_index(drop=True),
@@ -79,46 +80,45 @@ class DownstreamEvaluator:
         self.seed = seed
         self.n_fits = 0
 
-    def _matrix(self, split: pd.DataFrame, feats: list[FeatureFrame]) -> np.ndarray:
+    # -- model input: the one FeatureFrame -> array conversion -------------
+    def matrix(self, split: pd.DataFrame, feats: list[FeatureFrame], *,
+               base: bool = True) -> np.ndarray:
+        """Model input on ``split``'s rows: the base features (unless
+        ``base=False``), then one Definition-3 column per feature."""
         merged = merge_features(split, feats)
-        cols = [*self.splits.base_features, *[f.name for f in feats]]
-        return merged[cols].to_numpy(dtype=float)
+        cols = [*(self.splits.base_features if base else ()), *(f.name for f in feats)]
+        return _clean(merged[cols].to_numpy(dtype=float))
+
+    def labels(self, split: pd.DataFrame) -> np.ndarray:
+        return split[self.splits.label].to_numpy()
+
+    def feature_on(self, split: pd.DataFrame, f: FeatureFrame) -> np.ndarray:
+        """One candidate feature aligned to a split's rows."""
+        return self.matrix(split, [f], base=False)[:, 0]
 
     def _fit(self, feats: list[FeatureFrame]):
-        X = self._matrix(self.splits.train, feats)
-        y = self.splits.train[self.splits.label].to_numpy()
+        tr = self.splits.train
         model = make_model(self.model_name, self.splits.task, seed=self.seed)
-        model.fit(_clean(X), y)
+        model.fit(self.matrix(tr, feats), self.labels(tr))
         self.n_fits += 1
         return model
 
     def valid_loss(self, feats: list[FeatureFrame]) -> float:
         """L(A(D^q_train), D^q_valid) — the search objective (Problem 1)."""
         model = self._fit(feats)
-        Xv = _clean(self._matrix(self.splits.valid, feats))
-        yv = self.splits.valid[self.splits.label].to_numpy()
-        return task_loss(self.splits.task, yv, model, Xv)
+        va = self.splits.valid
+        return task_loss(self.splits.task, self.labels(va), model, self.matrix(va, feats))
 
     def evaluate(self, feats: list[FeatureFrame]) -> EvalResult:
         """Full report: valid loss/metric + held-out test metric."""
         model = self._fit(feats)
-        Xv = _clean(self._matrix(self.splits.valid, feats))
-        yv = self.splits.valid[self.splits.label].to_numpy()
-        Xt = _clean(self._matrix(self.splits.test, feats))
-        yt = self.splits.test[self.splits.label].to_numpy()
+        va, te = self.splits.valid, self.splits.test
+        Xv, yv = self.matrix(va, feats), self.labels(va)
         return EvalResult(
             valid_loss=task_loss(self.splits.task, yv, model, Xv),
             valid_metric=task_metric(self.splits.task, yv, model, Xv),
-            test_metric=task_metric(self.splits.task, yt, model, Xt),
+            test_metric=task_metric(self.splits.task, self.labels(te), model,
+                                    self.matrix(te, feats)),
             n_features=len(feats),
             feature_names=tuple(f.name for f in feats),
         )
-
-    # -- helpers for proxies -------------------------------------------------
-    def train_labels(self) -> np.ndarray:
-        return self.splits.train[self.splits.label].to_numpy()
-
-    def feature_on(self, split: pd.DataFrame, f: FeatureFrame) -> np.ndarray:
-        """The candidate feature aligned to a split's rows (NaN-filled 0)."""
-        merged = merge_features(split, [f])
-        return merged[f.name].to_numpy(dtype=float)

@@ -7,8 +7,8 @@ collected to pandas for the driver-side model training, and memoised by SQL
 text — TPE frequently revisits configurations.
 
 ``merge_features`` implements Definition 3 (training table LEFT JOIN query
-results, absent groups filled with 0) on the driver-side splits; the search
-loop and the final evaluation both use it.
+results, absent groups filled with 0) on the driver-side splits;
+``DownstreamEvaluator.matrix`` is its one caller.
 """
 from __future__ import annotations
 
@@ -20,6 +20,9 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.space import Query
 from repro.core.sqlgen import build_sql
+
+#: memoised query results kept per executor (least recently used evicted)
+_CACHE_CAP = 1024
 
 
 @dataclass
@@ -35,14 +38,12 @@ class FeatureFrame:
 class QueryExecutor:
     """Runs generated predicate-aware SQL over a cached relevant table."""
 
-    def __init__(self, spark: SparkSession, R: DataFrame, view: str,
-                 *, shuffle_partitions: int = 4, cache_cap: int = 1024):
+    def __init__(self, spark: SparkSession, R: DataFrame, view: str):
         self.spark = spark
         self.view = view
-        # Small-data search loop: fewer shuffle partitions and a coalesced
-        # cache = less per-task overhead per generated query (hundreds of
-        # queries per scenario). AQE still coalesces what remains.
-        spark.conf.set("spark.sql.shuffle.partitions", str(shuffle_partitions))
+        # Small-data search loop: a coalesced cache = less per-task overhead
+        # per generated query (hundreds of queries per scenario). The session
+        # builder keeps shuffle partitions low for the same reason.
         n_rows = R.count()
         n_parts = max(1, min(R.rdd.getNumPartitions(), n_rows // 250_000 + 1))
         self.R = R.coalesce(n_parts).cache()
@@ -51,7 +52,6 @@ class QueryExecutor:
         self.n_queries = 0
         self.n_cache_hits = 0
         self._cache: OrderedDict[str, pd.DataFrame] = OrderedDict()
-        self._cache_cap = cache_cap
 
     def run_sql(self, sql: str) -> pd.DataFrame:
         """Execute SQL text (memoised) and return the result as pandas."""
@@ -62,7 +62,7 @@ class QueryExecutor:
         self.n_queries += 1
         pdf = self.spark.sql(sql).toPandas()
         self._cache[sql] = pdf
-        if len(self._cache) > self._cache_cap:
+        if len(self._cache) > _CACHE_CAP:
             self._cache.popitem(last=False)
         return pdf
 

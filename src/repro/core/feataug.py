@@ -58,14 +58,6 @@ class DatasetContext:
         return DownstreamEvaluator(self.splits, model_name,
                                    seed=self.seed if seed is None else seed)
 
-    def proxy(self, name: str, *, seed: int = 0):
-        s = self.splits
-        base_X = s.train[list(s.base_features)].to_numpy(dtype=float)
-        Xv = s.valid[list(s.base_features)].to_numpy(dtype=float)
-        return make_proxy(name, task=s.task, base_X=base_X,
-                          X_valid_base=Xv, y_valid=s.valid[s.label].to_numpy(),
-                          seed=seed)
-
     def close(self) -> None:
         self.executor.unpersist()
 
@@ -93,7 +85,8 @@ def run_feataug(ctx: DatasetContext, model_name: str, *, seed: int = 0,
     """
     bundle, budget = ctx.bundle, ctx.budget
     evaluator = ctx.evaluator(model_name, seed=seed)
-    proxy_fn = ctx.proxy(proxy, seed=seed)
+    proxy_fn = make_proxy(proxy, task=bundle.task,
+                          y_valid=evaluator.labels(evaluator.splits.valid), seed=seed)
     run_tag = next(_uid)
     universe = tuple(bundle.where_attrs)
 

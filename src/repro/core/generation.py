@@ -55,11 +55,10 @@ class PoolSearcher:
     def proxy_score(self, cfg: tuple) -> float:
         """Higher = better; degenerate features score 0."""
         if cfg not in self._proxy:
-            f = self.frame(cfg)
-            x = self.evaluator.feature_on(self.evaluator.splits.train, f)
-            xv = self.evaluator.feature_on(self.evaluator.splits.valid, f)
-            y = self.evaluator.train_labels()
-            self._proxy[cfg] = float(self.proxy_fn(x, y, xv))
+            f, ev = self.frame(cfg), self.evaluator
+            tr, va = ev.splits.train, ev.splits.valid
+            self._proxy[cfg] = float(self.proxy_fn(
+                ev.matrix(tr, [f]), ev.labels(tr), ev.matrix(va, [f])))
         return self._proxy[cfg]
 
     def real_loss(self, cfg: tuple) -> float:

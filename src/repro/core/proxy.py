@@ -67,31 +67,29 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     return abs(rho) if np.isfinite(rho) else 0.0
 
 
-def make_proxy(name: str, *, task: str, base_X: np.ndarray | None = None,
-               y_valid: np.ndarray | None = None, X_valid_base: np.ndarray | None = None,
+def make_proxy(name: str, *, task: str, y_valid: np.ndarray | None = None,
                seed: int = 0):
-    """Build ``proxy(x_train, y_train[, x_valid]) -> score`` (higher=better).
+    """Build ``proxy(X_train, y_train[, X_valid]) -> score`` (higher=better).
 
-    ``MI`` and ``SC`` only use the training rows. ``LR`` trains a logistic /
-    ridge model on base features + candidate and scores the validation rows
-    (needs the ``base_X``/``X_valid_base``/``y_valid`` context).
+    ``X_train``/``X_valid`` are ``DownstreamEvaluator.matrix`` outputs:
+    base features, then the candidate as the last column. ``MI`` and ``SC``
+    score that column on the training rows alone. ``LR`` trains a logistic /
+    ridge model on the whole matrix and scores the validation rows (needs
+    the ``y_valid`` context).
     """
     if name == "MI":
-        return lambda x, y, xv=None: mutual_information(x, y, task=task)
+        return lambda X, y, Xv=None: mutual_information(X[:, -1], y, task=task)
     if name == "SC":
-        return lambda x, y, xv=None: spearman(x, y)
+        return lambda X, y, Xv=None: spearman(X[:, -1], y)
     if name == "LR":
         from repro.models.logistic import LogisticRegression
         from repro.models.metrics import task_loss
 
-        if base_X is None or y_valid is None or X_valid_base is None:
-            raise ValueError("LR proxy needs base_X, X_valid_base and y_valid")
-        lr_task = "regression" if task == "regression" else task
+        if y_valid is None:
+            raise ValueError("LR proxy needs y_valid")
 
-        def _lr_proxy(x, y, xv):
-            X = np.column_stack([base_X, np.nan_to_num(x, nan=0.0)])
-            Xv = np.column_stack([X_valid_base, np.nan_to_num(xv, nan=0.0)])
-            m = LogisticRegression(task=lr_task, n_iter=80, seed=seed).fit(X, y)
+        def _lr_proxy(X, y, Xv):
+            m = LogisticRegression(task=task, n_iter=80, seed=seed).fit(X, y)
             return -task_loss(task, y_valid, m, Xv)
 
         return _lr_proxy

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from repro.core.space import Predicate, Query
 
-#: agg-name → SQL expression template, identical in Spark SQL and DuckDB
-_SIMPLE = {
+#: agg-name → single-level aggregate expression, identical in Spark SQL and DuckDB
+_SHARED = {
     "SUM": "SUM({a})",
     "MIN": "MIN({a})",
     "MAX": "MAX({a})",
@@ -38,6 +38,9 @@ _SIMPLE = {
     "MEDIAN": "MEDIAN({a})",
     "MODE": "MODE({a})",
 }
+
+#: every aggregate Spark computes in one GROUP BY pass (FT's wide pass too)
+SPARK_AGGS = {**_SHARED, "KURTOSIS": "KURTOSIS({a})"}
 
 
 def literal(v, sql_type: str) -> str:
@@ -98,24 +101,21 @@ def build_sql(q: Query, table: str, dialect: str = "spark") -> str:
     """Render ``q`` against ``table``; ``dialect`` ∈ {"spark", "duckdb"}."""
     if dialect not in ("spark", "duckdb"):
         raise ValueError(f"unknown dialect {dialect!r}")
-    if q.agg in _SIMPLE:
+    single = SPARK_AGGS if dialect == "spark" else _SHARED
+    if q.agg in single:
         keys = ", ".join(q.keys)
-        expr = _SIMPLE[q.agg].format(a=q.agg_attr)
-        w = where_sql(q)
-        return f"SELECT {keys}, {expr} AS feature FROM {table} {w} GROUP BY {keys}".replace("  ", " ")
+        expr = single[q.agg].format(a=q.agg_attr)
+        parts = (f"SELECT {keys}, {expr} AS feature FROM {table}", where_sql(q),
+                 f"GROUP BY {keys}")
+        return " ".join(p for p in parts if p)
     if q.agg == "ENTROPY":
         return _entropy_sql(q, table)
     if q.agg == "MAD":
         return _two_level(q, table, "MEDIAN(v)", "MEDIAN(ABS(v - s))")
     if q.agg == "KURTOSIS":
-        if dialect == "spark":
-            keys = ", ".join(q.keys)
-            w = where_sql(q)
-            return f"SELECT {keys}, KURTOSIS({q.agg_attr}) AS feature FROM {table} {w} GROUP BY {keys}".replace("  ", " ")
         # DuckDB: population excess kurtosis m4/m2^2 - 3 (Spark semantics)
         return _two_level(
             q, table, "AVG(v)",
             "(SUM(POW(v - s, 4)) / COUNT(*)) / POW(SUM(POW(v - s, 2)) / COUNT(*), 2) - 3",
         )
     raise ValueError(f"unknown aggregation {q.agg!r}")
-

@@ -29,22 +29,24 @@ Config = tuple[int, ...]
 Trial = tuple[Config, float]
 
 
+#: good-quantile γ, EI candidates drawn per suggest, Laplace prior count
+_GAMMA = 0.15
+_N_CANDIDATES = 24
+_PRIOR = 1.0
+
+
 class TPE:
-    def __init__(self, shape: tuple[int, ...], *, seed: int = 0, gamma: float = 0.15,
-                 n_candidates: int = 24, n_startup: int = 6, prior: float = 1.0):
+    def __init__(self, shape: tuple[int, ...], *, seed: int = 0, n_startup: int = 6):
         if any(s < 1 for s in shape):
             raise ValueError("every dimension needs at least one option")
         self.shape = shape
-        self.gamma = gamma
-        self.n_candidates = n_candidates
         self.n_startup = n_startup
-        self.prior = prior
         self.rng = np.random.default_rng(seed)
 
     # -- densities ----------------------------------------------------------
     def _density(self, configs: list[Config], dim: int) -> np.ndarray:
         k = self.shape[dim]
-        counts = np.full(k, self.prior)
+        counts = np.full(k, _PRIOR)
         for c in configs:
             counts[c[dim]] += 1.0
         return counts / counts.sum()
@@ -62,7 +64,7 @@ class TPE:
                     return c
             return self._random()
         order = sorted(trials, key=lambda t: t[1])
-        n_good = max(1, math.ceil(self.gamma * len(order)))
+        n_good = max(1, math.ceil(_GAMMA * len(order)))
         good = [c for c, _ in order[:n_good]]
         bad = [c for c, _ in order[n_good:]] or good
         pg = [self._density(good, d) for d in range(len(self.shape))]
@@ -71,7 +73,7 @@ class TPE:
 
         best, best_score = None, -np.inf
         fallback, fallback_score = None, -np.inf
-        for _ in range(self.n_candidates):
+        for _ in range(_N_CANDIDATES):
             c = tuple(
                 int(self.rng.choice(self.shape[d], p=pg[d]))
                 for d in range(len(self.shape))
@@ -91,15 +93,14 @@ class TPE:
 
 
 def run_tpe(objective, shape: tuple[int, ...], n_iters: int, *, seed: int = 0,
-            warm_start: list[Trial] | None = None, gamma: float = 0.15,
-            n_startup: int = 6) -> list[Trial]:
+            warm_start: list[Trial] | None = None, n_startup: int = 6) -> list[Trial]:
     """Drive a TPE loop: ``objective(config) -> loss`` (lower is better).
 
     Returns the full trial history (warm-start observations included).
     Objective values that are NaN are recorded as +inf so broken
     configurations (e.g. degenerate queries) are never "good".
     """
-    tpe = TPE(shape, seed=seed, gamma=gamma, n_startup=n_startup)
+    tpe = TPE(shape, seed=seed, n_startup=n_startup)
     trials: list[Trial] = list(warm_start or [])
     for _ in range(n_iters):
         cfg = tpe.suggest(trials)

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 
 from repro.core.evaluator import TableSplits, make_splits
 from repro.core.template import PAPER_AGGS
@@ -14,17 +14,16 @@ from repro.core.template import PAPER_AGGS
 class DatasetBundle:
     """A training table D, a relevant table R, and template ingredients.
 
-    ``D``/``R`` are Spark DataFrames (the dataflow side); ``D_pandas`` is the
-    driver-side copy of the small training table used by the evaluator.
+    ``D`` is the small training table, kept driver-side for the evaluator;
+    ``R`` is a Spark DataFrame (the dataflow side the generated SQL runs on).
     ``where_attrs`` is the paper's "# of attr" candidate set for WHERE
     clauses, ``agg_attrs`` its "A" aggregation attributes, ``keys`` the
     group-by/foreign keys "K".
     """
 
     name: str
-    D: DataFrame
+    D: pd.DataFrame
     R: DataFrame
-    D_pandas: pd.DataFrame
     keys: tuple[str, ...]
     base_features: tuple[str, ...]
     agg_attrs: tuple[str, ...]
@@ -35,7 +34,7 @@ class DatasetBundle:
     info: dict = field(default_factory=dict)
 
     def splits(self, seed: int = 0) -> TableSplits:
-        return make_splits(self.D_pandas, self.keys, self.base_features,
+        return make_splits(self.D, self.keys, self.base_features,
                            self.task, seed=seed)
 
     @property
@@ -43,11 +42,6 @@ class DatasetBundle:
         if "n_r_rows" not in self.info:
             self.info["n_r_rows"] = self.R.count()
         return self.info["n_r_rows"]
-
-
-def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    """createDataFrame with stable column order (Arrow path is enabled)."""
-    return spark.createDataFrame(pdf)
 
 
 def standardise(x) -> pd.Series:

@@ -15,7 +15,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.datasets.base import DatasetBundle, standardise, to_spark
+from repro.datasets.base import DatasetBundle, standardise
 
 
 def covtype(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> DatasetBundle:
@@ -66,9 +66,8 @@ def covtype(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> Datase
             "h_dist_road", "hillshade_9am", "hillshade_noon", "soil_type")
     return DatasetBundle(
         name="Covtype",
-        D=to_spark(spark, D),
-        R=to_spark(spark, R),
-        D_pandas=D,
+        D=D,
+        R=spark.createDataFrame(R),
         keys=("data_index",),
         base_features=base,
         agg_attrs=("slope", "h_dist_hydro", "elevation", "aspect",

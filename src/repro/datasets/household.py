@@ -14,7 +14,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.datasets.base import DatasetBundle, standardise, to_spark
+from repro.datasets.base import DatasetBundle, standardise
 
 
 def household(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> DatasetBundle:
@@ -91,9 +91,8 @@ def household(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> Data
 
     return DatasetBundle(
         name="Household",
-        D=to_spark(spark, D),
-        R=to_spark(spark, R),
-        D_pandas=D,
+        D=D,
+        R=spark.createDataFrame(R),
         keys=("data_index",),
         base_features=("rooms", "adults", "children", "region", "urban"),
         agg_attrs=("education_years", "monthly_rent", "floor_quality",

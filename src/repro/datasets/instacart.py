@@ -12,7 +12,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.datasets.base import DatasetBundle, standardise, to_spark
+from repro.datasets.base import DatasetBundle, standardise
 
 DEPARTMENTS = np.array([
     "produce", "dairy", "snacks", "beverages", "frozen",
@@ -41,13 +41,9 @@ def instacart(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> Data
         }
     )
 
-    grp = R.groupby("user_id")
-    prod_recent = grp.apply(
-        lambda g: int(((g["department"] == "produce") & (g["reordered"] == 1)
-                       & (g["days_ago"] <= 90)).sum()),
-        include_groups=False,
-    )
-    total = grp.size()
+    prod_recent = R[(R["department"] == "produce") & (R["reordered"] == 1)
+                    & (R["days_ago"] <= 90)].groupby("user_id").size()
+    total = R.groupby("user_id").size()
     keys = np.arange(1, n_users + 1)
     pr = prod_recent.reindex(keys, fill_value=0).to_numpy(dtype=float)
     tt = total.reindex(keys, fill_value=0).to_numpy(dtype=float)
@@ -72,9 +68,8 @@ def instacart(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> Data
 
     return DatasetBundle(
         name="Instacart",
-        D=to_spark(spark, D),
-        R=to_spark(spark, R),
-        D_pandas=D,
+        D=D,
+        R=spark.createDataFrame(R),
         keys=("user_id",),
         base_features=("n_orders", "avg_cart_size"),
         agg_attrs=("price", "days_ago", "add_to_cart_order"),

@@ -13,7 +13,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.datasets.base import DatasetBundle, standardise, to_spark
+from repro.datasets.base import DatasetBundle, standardise
 
 CATEGORIES = np.array(["groceries", "fuel", "clothing", "electronics", "restaurants"])
 CAT_P = np.array([0.3, 0.2, 0.2, 0.15, 0.15])
@@ -38,13 +38,9 @@ def merchant(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> Datas
         }
     )
 
-    grp = R.groupby("merchant_id")
-    sig = grp.apply(
-        lambda g: float(g.loc[(g["category_2"] == "groceries")
-                              & (g["month_lag"] >= -3), "purchase_amount"].sum()),
-        include_groups=False,
-    )
-    total_n = grp.size()
+    recent_grocery = (R["category_2"] == "groceries") & (R["month_lag"] >= -3)
+    sig = R[recent_grocery].groupby("merchant_id")["purchase_amount"].sum()
+    total_n = R.groupby("merchant_id").size()
     keys = np.arange(1, n_merchants + 1)
     s1 = sig.reindex(keys, fill_value=0.0).to_numpy(dtype=float)
     tn = total_n.reindex(keys, fill_value=0).to_numpy(dtype=float)
@@ -68,9 +64,8 @@ def merchant(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> Datas
 
     return DatasetBundle(
         name="Merchant",
-        D=to_spark(spark, D),
-        R=to_spark(spark, R),
-        D_pandas=D,
+        D=D,
+        R=spark.createDataFrame(R),
         keys=("merchant_id",),
         base_features=("avg_sales_lag3", "active_months"),
         agg_attrs=("purchase_amount", "month_lag", "installments"),

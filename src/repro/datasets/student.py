@@ -12,7 +12,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.datasets.base import DatasetBundle, standardise, to_spark
+from repro.datasets.base import DatasetBundle, standardise
 
 EVENTS = np.array([
     "navigate_click", "person_click", "cutscene_click",
@@ -65,9 +65,8 @@ def student(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> Datase
 
     return DatasetBundle(
         name="Student",
-        D=to_spark(spark, D),
-        R=to_spark(spark, R),
-        D_pandas=D,
+        D=D,
+        R=spark.createDataFrame(R),
         keys=("session_id",),
         base_features=("device", "n_events"),
         agg_attrs=("elapsed", "hover", "level"),

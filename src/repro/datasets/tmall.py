@@ -17,7 +17,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.datasets.base import DatasetBundle, standardise, to_spark
+from repro.datasets.base import DatasetBundle, standardise
 
 ACTIONS = np.array(["click", "cart", "favorite", "purchase"])
 ACTION_P = np.array([0.62, 0.13, 0.10, 0.15])
@@ -52,14 +52,11 @@ def tmall(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> DatasetB
         }
     )
 
-    grp = R.groupby(["user_id", "merchant_id"])
-    recent_purch = grp.apply(
-        lambda g: int(((g["action_type"] == "purchase") & (g["ts_day"] >= 150)).sum()),
-        include_groups=False,
-    )
-    clicks = grp.apply(lambda g: int((g["action_type"] == "click").sum()),
-                       include_groups=False)
-    key = pd.MultiIndex.from_frame(pairs[["user_id", "merchant_id"]])
+    keys = ["user_id", "merchant_id"]
+    recent_purch = R[(R["action_type"] == "purchase")
+                     & (R["ts_day"] >= 150)].groupby(keys).size()
+    clicks = R[R["action_type"] == "click"].groupby(keys).size()
+    key = pd.MultiIndex.from_frame(pairs[keys])
     rp = recent_purch.reindex(key, fill_value=0).to_numpy(dtype=float)
     ck = clicks.reindex(key, fill_value=0).to_numpy(dtype=float)
 
@@ -80,9 +77,8 @@ def tmall(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> DatasetB
 
     return DatasetBundle(
         name="Tmall",
-        D=to_spark(spark, D),
-        R=to_spark(spark, R),
-        D_pandas=D,
+        D=D,
+        R=spark.createDataFrame(R),
         keys=("user_id", "merchant_id"),
         base_features=("age", "gender"),
         agg_attrs=("price", "ts_day", "quantity"),

@@ -17,24 +17,20 @@ class NotApplicableError(ValueError):
     """Selector undefined for this task (e.g. Chi2 on regression)."""
 
 
-def _train_xy(pool: list[FeatureFrame], evaluator: DownstreamEvaluator):
+def _top_scored(pool: list[FeatureFrame], evaluator: DownstreamEvaluator, n: int,
+                score) -> list[FeatureFrame]:
+    """Keep the top-n pooled features by ``score(column, train labels)``."""
     tr = evaluator.splits.train
-    X = np.column_stack([evaluator.feature_on(tr, f) for f in pool])
-    y = tr[evaluator.splits.label].to_numpy()
-    return X, y
-
-
-def _top(pool: list[FeatureFrame], scores: np.ndarray, n: int) -> list[FeatureFrame]:
+    X, y = evaluator.matrix(tr, pool, base=False), evaluator.labels(tr)
+    scores = np.array([score(X[:, j], y) for j in range(X.shape[1])])
     order = np.argsort(-np.nan_to_num(scores, nan=-np.inf), kind="stable")[:n]
     return [pool[i] for i in order]
 
 
 def mi_select(pool, evaluator, n: int) -> list[FeatureFrame]:
-    X, y = _train_xy(pool, evaluator)
     task = evaluator.splits.task
-    scores = np.array([mutual_information(X[:, j], y, task=task)
-                       for j in range(X.shape[1])])
-    return _top(pool, scores, n)
+    return _top_scored(pool, evaluator, n,
+                       lambda x, y: mutual_information(x, y, task=task))
 
 
 def chi2_statistic(x: np.ndarray, y: np.ndarray, n_bins: int = 8) -> float:
@@ -58,14 +54,11 @@ def chi2_statistic(x: np.ndarray, y: np.ndarray, n_bins: int = 8) -> float:
 def chi2_select(pool, evaluator, n: int) -> list[FeatureFrame]:
     if evaluator.splits.task == "regression":
         raise NotApplicableError("Chi2 selector is classification-only")
-    X, y = _train_xy(pool, evaluator)
-    scores = np.array([chi2_statistic(X[:, j], y) for j in range(X.shape[1])])
-    return _top(pool, scores, n)
+    return _top_scored(pool, evaluator, n, chi2_statistic)
 
 
 def gini_gain(x: np.ndarray, y: np.ndarray, n_thresholds: int = 16) -> float:
     """Best single-split Gini impurity decrease of feature x."""
-    x = np.nan_to_num(np.asarray(x, dtype=float), nan=0.0)
     _, yi = np.unique(y, return_inverse=True)
     k = yi.max() + 1
     n = len(yi)
@@ -94,6 +87,4 @@ def gini_gain(x: np.ndarray, y: np.ndarray, n_thresholds: int = 16) -> float:
 def gini_select(pool, evaluator, n: int) -> list[FeatureFrame]:
     if evaluator.splits.task == "regression":
         raise NotApplicableError("Gini selector is classification-only")
-    X, y = _train_xy(pool, evaluator)
-    scores = np.array([gini_gain(X[:, j], y) for j in range(X.shape[1])])
-    return _top(pool, scores, n)
+    return _top_scored(pool, evaluator, n, gini_gain)

@@ -8,36 +8,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.evaluator import DownstreamEvaluator
-from repro.core.executor import FeatureFrame
 from repro.models.gbdt import GBDT
 from repro.models.logistic import LogisticRegression
 
 
-def _full_matrix(pool: list[FeatureFrame], evaluator: DownstreamEvaluator):
-    s = evaluator.splits
-    tr = s.train
-    base = tr[list(s.base_features)].to_numpy(dtype=float)
-    F = np.column_stack([evaluator.feature_on(tr, f) for f in pool])
-    X = np.nan_to_num(np.hstack([base, F]), nan=0.0)
-    return X, tr[s.label].to_numpy(), base.shape[1]
-
-
-def _top_by_importance(pool, imps: np.ndarray, n_base: int, n: int):
-    pooled = imps[n_base:]
+def _top_by_importance(pool, imps: np.ndarray, n: int):
+    pooled = imps[len(imps) - len(pool):]  # the base features come first
     order = np.argsort(-pooled, kind="stable")[:n]
     return [pool[i] for i in order]
 
 
 def lr_importance_select(pool, evaluator, n: int, *, seed: int = 0):
-    X, y, n_base = _full_matrix(pool, evaluator)
-    task = evaluator.splits.task
-    m = LogisticRegression(task=task, seed=seed).fit(X, y)
-    return _top_by_importance(pool, m.feature_importances(), n_base, n)
+    tr = evaluator.splits.train
+    m = LogisticRegression(task=evaluator.splits.task, seed=seed).fit(
+        evaluator.matrix(tr, pool), evaluator.labels(tr))
+    return _top_by_importance(pool, m.feature_importances(), n)
 
 
 def gbdt_importance_select(pool, evaluator, n: int, *, seed: int = 0):
-    X, y, n_base = _full_matrix(pool, evaluator)
-    task = evaluator.splits.task
-    m = GBDT(task=task, n_rounds=20, seed=seed).fit(X, y)
-    return _top_by_importance(pool, m.feature_importances(), n_base, n)
+    tr = evaluator.splits.train
+    m = GBDT(task=evaluator.splits.task, n_rounds=20, seed=seed).fit(
+        evaluator.matrix(tr, pool), evaluator.labels(tr))
+    return _top_by_importance(pool, m.feature_importances(), n)

@@ -19,11 +19,11 @@ def bundles(spark):
 class TestSchema:
     def test_keys_unique_in_D(self, bundles, name):
         b = bundles[name]
-        assert not b.D_pandas.duplicated(subset=list(b.keys)).any()
+        assert not b.D.duplicated(subset=list(b.keys)).any()
 
     def test_label_present_and_valid(self, bundles, name):
         b = bundles[name]
-        lbl = b.D_pandas["label"]
+        lbl = b.D["label"]
         if b.task == "binary":
             assert set(lbl.unique()) == {0, 1}
         elif b.task == "multiclass":
@@ -41,19 +41,15 @@ class TestSchema:
     def test_base_features_numeric_in_D(self, bundles, name):
         b = bundles[name]
         for c in b.base_features:
-            assert np.issubdtype(b.D_pandas[c].dtype, np.number), c
-
-    def test_spark_and_pandas_D_agree(self, bundles, name):
-        b = bundles[name]
-        assert b.D.count() == len(b.D_pandas)
+            assert np.issubdtype(b.D[c].dtype, np.number), c
 
     def test_deterministic(self, spark, bundles, name):
         b2 = make_dataset(name, spark, scale=SCALE, seed=7)
-        assert b2.D_pandas.equals(bundles[name].D_pandas)
+        assert b2.D.equals(bundles[name].D)
 
     def test_splits_ratios(self, bundles, name):
         s = bundles[name].splits(0)
-        n = len(bundles[name].D_pandas)
+        n = len(bundles[name].D)
         assert len(s.train) == int(n * 0.6)
         assert len(s.train) + len(s.valid) + len(s.test) == n
 
@@ -68,7 +64,7 @@ def test_one_to_many_relationship(bundles, name):
 @pytest.mark.parametrize("name", list(ONE_TO_ONE))
 def test_one_to_one_relationship(bundles, name):
     b = bundles[name]
-    assert b.R.count() == len(b.D_pandas)
+    assert b.R.count() == len(b.D)
     assert b.relationship == "one-to-one"
 
 
@@ -78,7 +74,7 @@ class TestPlantedSignal:
     FeatAug-vs-Featuretools comparison meaningful on synthetic data."""
 
     def _mi(self, b, series):
-        D = b.D_pandas
+        D = b.D
         x = series.reindex(
             D.set_index(list(b.keys)).index if len(b.keys) > 1 else D[b.keys[0]],
             fill_value=0.0,
@@ -129,4 +125,4 @@ def test_tmall_composite_key(bundles):
 
 def test_merchant_label_std_near_four(spark):
     b = make_dataset("Merchant", spark, scale=0.5, seed=7)
-    assert 3.0 < b.D_pandas["label"].std() < 5.0
+    assert 3.0 < b.D["label"].std() < 5.0

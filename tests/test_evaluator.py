@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.evaluator import DownstreamEvaluator, make_splits
+from repro.core.evaluator import DownstreamEvaluator, TableSplits, make_splits
 from repro.core.executor import FeatureFrame, merge_features
 
 
@@ -36,11 +36,6 @@ class TestMakeSplits:
         b = make_splits(D, ("k",), ("b1",), "binary", seed=1)
         assert set(a.train.k) != set(b.train.k)
 
-    def test_bad_ratios_raise(self):
-        D, _ = _toy_table(50)
-        with pytest.raises(ValueError):
-            make_splits(D, ("k",), ("b1",), "binary", ratios=(0.5, 0.5, 0.5))
-
 
 def _feature(D: pd.DataFrame, col: str, name: str) -> FeatureFrame:
     f = D[["k", col]].rename(columns={col: name})
@@ -65,6 +60,53 @@ class TestMergeFeatures:
     def test_no_features_noop(self):
         base = pd.DataFrame({"k": [1]})
         assert merge_features(base, []).equals(base)
+
+
+def _evaluator_on(split: pd.DataFrame, keys) -> DownstreamEvaluator:
+    return DownstreamEvaluator(TableSplits(split, split, split, keys, ("b1",), "binary"),
+                               "LR")
+
+
+class TestMatrix:
+    def test_base_first_then_features_in_order(self):
+        split = pd.DataFrame({"k": [1, 2, 3], "b1": [0.5, 1.5, 2.5], "label": [0, 1, 0]})
+        ev = _evaluator_on(split, ("k",))
+        f1 = FeatureFrame("f1", ("k",), pd.DataFrame({"k": [1, 3], "f1": [5.0, 7.0]}))
+        f2 = FeatureFrame("f2", ("k",), pd.DataFrame({"k": [2], "f2": [9.0]}))
+        X = ev.matrix(split, [f1, f2])
+        # absent keys are 0 (Definition 3)
+        np.testing.assert_array_equal(X, [[0.5, 5.0, 0.0], [1.5, 0.0, 9.0], [2.5, 7.0, 0.0]])
+        np.testing.assert_array_equal(
+            X, merge_features(split, [f1, f2])[["b1", "f1", "f2"]].to_numpy(dtype=float))
+        np.testing.assert_array_equal(ev.matrix(split, [f1, f2], base=False), X[:, 1:])
+        np.testing.assert_array_equal(ev.matrix(split, []), [[0.5], [1.5], [2.5]])
+
+    def test_subset_key_feature_on_composite_key_split(self):
+        split = pd.DataFrame({"a": [1, 1, 2, 3], "b": [1, 2, 1, 1],
+                              "b1": [0.0, 1.0, 2.0, 3.0], "label": [0, 1, 1, 0]})
+        ev = _evaluator_on(split, ("a", "b"))
+        g = FeatureFrame("g", ("a",), pd.DataFrame({"a": [1, 2], "g": [4.0, 6.0]}))
+        h = FeatureFrame("h", ("a", "b"), pd.DataFrame({"a": [1], "b": [2], "h": [3.0]}))
+        X = ev.matrix(split, [g, h])
+        np.testing.assert_array_equal(X[:, 1], [4.0, 4.0, 6.0, 0.0])  # broadcast over b
+        np.testing.assert_array_equal(X[:, 2], [0.0, 3.0, 0.0, 0.0])
+        np.testing.assert_array_equal(
+            X, merge_features(split, [g, h])[["b1", "g", "h"]].to_numpy(dtype=float))
+
+    def test_non_finite_values_cleaned(self):
+        split = pd.DataFrame({"k": [1, 2, 3], "b1": [np.nan, 1.0, 2.0], "label": [0, 1, 0]})
+        ev = _evaluator_on(split, ("k",))
+        f = FeatureFrame("f", ("k",), pd.DataFrame({"k": [1, 2, 3],
+                                                    "f": [np.nan, np.inf, -np.inf]}))
+        np.testing.assert_array_equal(ev.matrix(split, [f]),
+                                      [[0.0, 0.0], [1.0, 1e12], [2.0, -1e12]])
+
+    def test_labels(self):
+        D, _ = _toy_table(100)
+        s = make_splits(D, ("k",), ("b1",), "binary", seed=0)
+        ev = DownstreamEvaluator(s, "LR", seed=0)
+        for split in (s.train, s.valid, s.test):
+            np.testing.assert_array_equal(ev.labels(split), split["label"].to_numpy())
 
 
 class TestDownstreamEvaluator:

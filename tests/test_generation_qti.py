@@ -4,12 +4,13 @@ import pytest
 
 from repro.core.config import TINY
 from repro.core.generation import PoolSearcher, generate_queries
+from repro.core.proxy import make_proxy
 
 
 @pytest.fixture()
 def searcher(tmall_ctx):
     evaluator = tmall_ctx.evaluator("LR")
-    proxy = tmall_ctx.proxy("MI")
+    proxy = make_proxy("MI", task="binary")
     combo = ("action_type", "ts_day")
     return PoolSearcher(tmall_ctx.space(combo), tmall_ctx.executor,
                         evaluator, proxy, prefix="tgen")
@@ -46,7 +47,7 @@ class TestGenerateQueries:
 
     def test_nowu_path_skips_proxy(self, tmall_ctx):
         s = PoolSearcher(tmall_ctx.space(("category",)), tmall_ctx.executor,
-                         tmall_ctx.evaluator("LR"), tmall_ctx.proxy("MI"),
+                         tmall_ctx.evaluator("LR"), make_proxy("MI", task="binary"),
                          prefix="tnowu")
         pairs, stats = generate_queries(s, TINY, seed=0, use_warmup=False)
         assert stats.n_proxy_evals == 0
@@ -55,7 +56,7 @@ class TestGenerateQueries:
     def test_deterministic(self, tmall_ctx):
         def run(prefix):
             s = PoolSearcher(tmall_ctx.space(("brand",)), tmall_ctx.executor,
-                             tmall_ctx.evaluator("LR"), tmall_ctx.proxy("MI"),
+                             tmall_ctx.evaluator("LR"), make_proxy("MI", task="binary"),
                              prefix=prefix)
             pairs, _ = generate_queries(s, TINY, seed=5)
             return [(f.sql, round(l, 12)) for f, l in pairs]

@@ -75,7 +75,7 @@ class TestMakeProxy:
         x = y + 0.2 * rng.normal(0, 1, 300)
         for name in ("MI", "SC"):
             p = make_proxy(name, task="binary")
-            assert p(x, y) > p(rng.normal(0, 1, 300), y)
+            assert p(x[:, None], y) > p(rng.normal(0, 1, (300, 1)), y)
 
     def test_lr_requires_context(self):
         with pytest.raises(ValueError):
@@ -91,10 +91,10 @@ class TestMakeProxy:
         basev = rng.normal(0, 1, (nv, 2))
         yv = (rng.normal(0, 1, nv) > 0).astype(int)
         xv_sig = yv + 0.2 * rng.normal(0, 1, nv)
-        p = make_proxy("LR", task="binary", base_X=base,
-                       X_valid_base=basev, y_valid=yv)
-        s_sig = p(x_sig, y, xv_sig)
-        s_noise = p(rng.normal(0, 1, n), y, rng.normal(0, 1, nv))
+        p = make_proxy("LR", task="binary", y_valid=yv)
+        s_sig = p(np.column_stack([base, x_sig]), y, np.column_stack([basev, xv_sig]))
+        s_noise = p(np.column_stack([base, rng.normal(0, 1, n)]), y,
+                    np.column_stack([basev, rng.normal(0, 1, nv)]))
         assert s_sig > s_noise
 
     def test_unknown_raises(self):

@@ -1,5 +1,7 @@
-"""Templates, one-hot encodings, SQL rendering (no Spark needed)."""
+"""Templates, one-hot encodings, SQL rendering (Spark only for the literal
+round-trip through the DuckDB oracle)."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.qti import TemplatePredictor, identify_templates
@@ -7,6 +9,7 @@ from repro.core.config import TINY
 from repro.core.space import Predicate, Query
 from repro.core.sqlgen import build_sql, literal, predicate_sql, where_sql
 from repro.core.template import PAPER_AGGS, QueryTemplate, one_hot, template_count
+from repro.oracle import assert_equivalent
 
 
 class TestTemplate:
@@ -116,6 +119,20 @@ class TestBuildSQL:
         sql = build_sql(q, "R")
         assert "WHERE d = 'x'" in sql
         assert "flt.k1 = st.k1 AND flt.k2 = st.k2" in sql
+
+    @pytest.mark.parametrize("agg", ["SUM", "KURTOSIS", "ENTROPY"])
+    def test_double_space_literal_kept(self, spark, agg):
+        # 'a  b' and 'a b' are different values; key 3 has only 'a b' rows
+        R = pd.DataFrame({
+            "k": [1, 1, 1, 1, 2, 2, 2, 2, 3],
+            "c": ["a  b", "a  b", "a  b", "a b"] * 2 + ["a b"],
+            "a": [1.0, 2.0, 4.0, 100.0, 3.0, 5.0, 9.0, 200.0, 7.0],
+        })
+        spark.createDataFrame(R).createOrReplaceTempView("lit_r")
+        q = _q(agg, [Predicate("c", "eq", "string", value="a  b")])
+        spark_sql, duck_sql = build_sql(q, "lit_r", "spark"), build_sql(q, "lit_r", "duckdb")
+        assert "c = 'a  b'" in spark_sql and "c = 'a  b'" in duck_sql
+        assert_equivalent(spark.sql(spark_sql), duck_sql, lit_r=R)
 
     def test_unknown_agg_and_dialect(self):
         with pytest.raises(ValueError):
