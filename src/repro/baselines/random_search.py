@@ -31,7 +31,7 @@ def run_random(ctx: DatasetContext, model_name: str, *, seed: int = 0) -> FeatAu
                                 proxy_fn=None, prefix=f"rnd{seed}t{t}")
         for _ in range(budget.queries_per_template):
             f = searcher.frame(searcher.space.sample(rng))
-            if f.sql not in seen_sql:
+            if f is not None and f.sql not in seen_sql:
                 seen_sql.add(f.sql)
                 feats.append(f)
 

@@ -6,6 +6,15 @@ Catalyst pushes below the aggregation. Results (small per-key frames) are
 collected to pandas for the driver-side model training, and memoised by SQL
 text — TPE frequently revisits configurations.
 
+Each query is a single-task job whose cost is mostly fixed overhead, so the
+search hands the executor a whole lockstep round of candidates at once:
+``prefetch`` renders them with ``build_sql``, skips memo hits and
+duplicates, and runs the misses concurrently on a per-call thread pool as
+wide as Spark's default parallelism. Only the calling thread touches the
+memo: it takes each result through ``run_sql``'s miss path in input order.
+A query that fails is memoised as its exception, which ``run_sql`` raises,
+so one failed candidate neither stops the rest of its round nor reruns.
+
 ``merge_features`` implements Definition 3 (training table LEFT JOIN query
 results, absent groups filled with 0) on the driver-side splits;
 ``DownstreamEvaluator.matrix`` is its one caller.
@@ -13,9 +22,12 @@ results, absent groups filled with 0) on the driver-side splits;
 from __future__ import annotations
 
 from collections import OrderedDict
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import pandas as pd
+from py4j.protocol import Py4JError
+from pyspark.errors import PySparkException
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.space import Query
@@ -23,6 +35,9 @@ from repro.core.sqlgen import build_sql
 
 #: memoised query results kept per executor (least recently used evicted)
 _CACHE_CAP = 1024
+
+#: what a failed query raises: Spark analysis/execution errors, JVM errors
+QUERY_ERRORS = (PySparkException, Py4JError)
 
 
 @dataclass
@@ -51,20 +66,49 @@ class QueryExecutor:
         self.R.createOrReplaceTempView(view)
         self.n_queries = 0
         self.n_cache_hits = 0
-        self._cache: OrderedDict[str, pd.DataFrame] = OrderedDict()
+        self._cache: OrderedDict[str, pd.DataFrame | Exception] = OrderedDict()
+        self._inflight: dict[str, Future] = {}
+
+    def _collect(self, sql: str) -> pd.DataFrame | Exception:
+        """One Spark round-trip; a failed query returns its exception."""
+        try:
+            return self.spark.sql(sql).toPandas()
+        except QUERY_ERRORS as e:
+            return e
 
     def run_sql(self, sql: str) -> pd.DataFrame:
         """Execute SQL text (memoised) and return the result as pandas."""
         if sql in self._cache:
             self.n_cache_hits += 1
             self._cache.move_to_end(sql)
-            return self._cache[sql]
-        self.n_queries += 1
-        pdf = self.spark.sql(sql).toPandas()
-        self._cache[sql] = pdf
-        if len(self._cache) > _CACHE_CAP:
-            self._cache.popitem(last=False)
-        return pdf
+            out = self._cache[sql]
+        else:
+            self.n_queries += 1
+            fut = self._inflight.pop(sql, None)
+            out = fut.result() if fut is not None else self._collect(sql)
+            self._cache[sql] = out
+            if len(self._cache) > _CACHE_CAP:
+                self._cache.popitem(last=False)
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    def prefetch(self, queries: list[Query]) -> None:
+        """Run the memo misses among ``queries`` concurrently and memoise
+        them in input order; later ``feature_frame`` calls on them are hits."""
+        misses = list(dict.fromkeys(
+            sql for sql in (build_sql(q, self.view, dialect="spark") for q in queries)
+            if sql not in self._cache))
+        if not misses:
+            return
+        width = min(len(misses), self.spark.sparkContext.defaultParallelism)
+        with ThreadPoolExecutor(width) as pool:
+            self._inflight = {sql: pool.submit(self._collect, sql) for sql in misses}
+            for sql in misses:
+                try:
+                    self.run_sql(sql)
+                except QUERY_ERRORS:
+                    pass  # memoised; the candidate's own run_sql raises it
 
     def feature_frame(self, q: Query, name: str) -> FeatureFrame:
         """Execute ``q(R)`` and package the result as a named feature."""

@@ -22,12 +22,12 @@ import numpy as np
 from repro.core.config import BudgetProfile
 from repro.core.evaluator import DownstreamEvaluator, EvalResult
 from repro.core.executor import FeatureFrame, QueryExecutor
-from repro.core.generation import PoolSearcher, generate_queries
+from repro.core.generation import PoolSearcher, generate_queries, run_pools
 from repro.core.proxy import make_proxy
 from repro.core.qti import identify_templates
 from repro.core.space import QuerySpace, lift_config, profile_domains
 from repro.core.template import QueryTemplate
-from repro.core.tpe import run_tpe
+from repro.core.tpe import Problem
 from repro.datasets.base import DatasetBundle
 
 _uid = itertools.count()
@@ -106,31 +106,35 @@ def run_feataug(ctx: DatasetContext, model_name: str, *, seed: int = 0,
     node_best: dict[tuple, list] = {}  # stays empty under NoQTI
 
     if use_qti:
-        def effectiveness(combo) -> float:
-            # Optimization O1: short in-pool TPE search maximising the proxy
-            # — the node's effectiveness estimate (best query's proxy value).
-            # Child nodes warm-start from their parents' best queries (the
-            # parent's pool embeds in the child's with the new dim = None),
-            # so beam expansion refines instead of restarting.
-            combo = tuple(combo)
-            s = get_searcher(combo)
-            rng = _combo_rng(seed, combo, universe)
-            warm = []
-            for drop in combo:
-                parent = tuple(a for a in combo if a != drop)
-                if parent in node_best:
-                    ps = searchers[parent].space
-                    for cfg, loss in node_best[parent][:2]:
-                        lifted = lift_config(ps, s.space, cfg)
-                        warm.append((lifted, -s.proxy_score(lifted)))
-            trials = run_tpe(
-                lambda cfg: -s.proxy_score(cfg), s.space.shape,
-                budget.qti_samples, seed=int(rng.integers(0, 2**31)),
-                warm_start=warm,
-                n_startup=0 if warm else max(2, budget.qti_samples // 2),
-            )
-            node_best[combo] = sorted(trials, key=lambda t: t[1])[:3]
-            return -min(loss for _, loss in trials)
+        def effectiveness(layer) -> list[float]:
+            # Optimization O1: short in-pool TPE searches maximising the
+            # proxy — each node's effectiveness estimate (best query's proxy
+            # value). The layer's nodes search in lockstep rounds. Child nodes
+            # warm-start from their parents' best queries (the parent's pool
+            # embeds in the child's with the new dim = None, so these are memo
+            # hits), so beam expansion refines instead of restarting.
+            layer = [tuple(c) for c in layer]
+            pool = [get_searcher(c) for c in layer]
+            problems = []
+            for combo, s in zip(layer, pool):
+                rng = _combo_rng(seed, combo, universe)
+                warm = []
+                for drop in combo:
+                    parent = tuple(a for a in combo if a != drop)
+                    if parent in node_best:
+                        ps = searchers[parent].space
+                        for cfg, _ in node_best[parent][:2]:
+                            lifted = lift_config(ps, s.space, cfg)
+                            warm.append((lifted, s.proxy_loss(lifted)))
+                problems.append(Problem(
+                    s.proxy_loss, s.space.shape, budget.qti_samples,
+                    int(rng.integers(0, 2**31)), warm_start=warm,
+                    n_startup=0 if warm else max(2, budget.qti_samples // 2)))
+            scores = []
+            for combo, trials in zip(layer, run_pools(pool, problems)):
+                node_best[combo] = sorted(trials, key=lambda t: t[1])[:3]
+                scores.append(-min(loss for _, loss in trials))
+            return scores
 
         combos, qti_stats = identify_templates(
             universe, effectiveness, budget,
@@ -142,15 +146,13 @@ def run_feataug(ctx: DatasetContext, model_name: str, *, seed: int = 0,
         combos = [universe]
         per_pool = budget.n_features
 
-    # SQL Query Generation per template (§V).
-    chosen: list[tuple[FeatureFrame, float]] = []
-    for i, combo in enumerate(combos):
-        pairs, _ = generate_queries(
-            get_searcher(combo), budget, seed=seed + 101 * (i + 1),
-            use_warmup=use_warmup, top_m=per_pool,
-            proxy_warm=node_best.get(tuple(combo)),
-        )
-        chosen.extend(pairs)
+    # SQL Query Generation over all templates' pools together (§V).
+    chosen, _ = generate_queries(
+        [get_searcher(c) for c in combos], budget,
+        seeds=[seed + 101 * (i + 1) for i in range(len(combos))],
+        use_warmup=use_warmup, top_m=per_pool,
+        proxy_warm=[node_best.get(tuple(c)) for c in combos],
+    )
 
     # Dedupe across pools (identical SQL and near-identical value columns —
     # e.g. COUNT(price) vs COUNT(quantity) under the same predicate), keep
@@ -182,6 +184,7 @@ def run_feataug(ctx: DatasetContext, model_name: str, *, seed: int = 0,
         n_features=len(feats),
         n_spark_queries=ctx.executor.n_queries,
         n_model_fits=evaluator.n_fits,
+        n_failed_queries=sum(s.n_failed for s in searchers.values()),
     )
     return FeatAugOutput(result=result, features=feats,
                          templates=[tuple(c) for c in combos], stats=stats)

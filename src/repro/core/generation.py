@@ -13,26 +13,41 @@ The NoWU ablation (paper Table VII) replaces both rounds with a single
 real-loss TPE run of ``warmup_topk + gen_iters`` iterations — the paper's
 "50+40=90 iterations" accounting, which charges the warm-up's real
 evaluations to the baseline.
+
+The template pools are independent searches, so ``generate_queries`` runs
+all of them together in lockstep rounds (``tpe.run_lockstep``): every pool
+proposes, ``QueryExecutor.prefetch`` runs the round's new queries
+concurrently, then each pool scores its proposals in template order. Every
+``PoolSearcher`` still builds its frames in its own order, so feature names,
+per-pool SQL sequences and losses are those of running the pools one after
+another. A candidate whose query fails becomes an ``inf`` trial and is
+counted; it is never returned.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.config import BudgetProfile
 from repro.core.evaluator import DownstreamEvaluator
-from repro.core.executor import FeatureFrame, QueryExecutor
+from repro.core.executor import QUERY_ERRORS, FeatureFrame, QueryExecutor
 from repro.core.space import QuerySpace
-from repro.core.tpe import run_tpe
+from repro.core.tpe import Problem, Trial, run_lockstep
 
 
 @dataclass
 class GenerationStats:
     n_proxy_evals: int = 0
     n_real_evals: int = 0
+    n_failed_queries: int = 0
 
 
 class PoolSearcher:
-    """Caches decode→execute→proxy/real-eval per config for one pool."""
+    """Caches decode→execute→proxy/real-eval per config for one pool.
+
+    A config whose query fails to run has no frame (``None``): its proxy
+    score is −inf and its real loss +inf, and ``n_failed`` counts it.
+    """
 
     def __init__(self, space: QuerySpace, executor: QueryExecutor,
                  evaluator: DownstreamEvaluator, proxy_fn, *, prefix: str):
@@ -41,15 +56,20 @@ class PoolSearcher:
         self.evaluator = evaluator
         self.proxy_fn = proxy_fn
         self.prefix = prefix
-        self._frames: dict[tuple, FeatureFrame] = {}
+        self.n_failed = 0
+        self._frames: dict[tuple, FeatureFrame | None] = {}
         self._proxy: dict[tuple, float] = {}
         self._real: dict[tuple, float] = {}
 
-    def frame(self, cfg: tuple) -> FeatureFrame:
+    def frame(self, cfg: tuple) -> FeatureFrame | None:
         if cfg not in self._frames:
             q = self.space.decode(cfg)
             name = f"{self.prefix}_{len(self._frames)}"
-            self._frames[cfg] = self.executor.feature_frame(q, name)
+            try:
+                self._frames[cfg] = self.executor.feature_frame(q, name)
+            except QUERY_ERRORS:
+                self._frames[cfg] = None
+                self.n_failed += 1
         return self._frames[cfg]
 
     def proxy_score(self, cfg: tuple) -> float:
@@ -57,13 +77,18 @@ class PoolSearcher:
         if cfg not in self._proxy:
             f, ev = self.frame(cfg), self.evaluator
             tr, va = ev.splits.train, ev.splits.valid
-            self._proxy[cfg] = float(self.proxy_fn(
+            self._proxy[cfg] = -math.inf if f is None else float(self.proxy_fn(
                 ev.matrix(tr, [f]), ev.labels(tr), ev.matrix(va, [f])))
         return self._proxy[cfg]
 
+    def proxy_loss(self, cfg: tuple) -> float:
+        """−proxy: the objective of the proxy searches (TPE minimises)."""
+        return -self.proxy_score(cfg)
+
     def real_loss(self, cfg: tuple) -> float:
         if cfg not in self._real:
-            self._real[cfg] = float(self.evaluator.valid_loss([self.frame(cfg)]))
+            f = self.frame(cfg)
+            self._real[cfg] = math.inf if f is None else float(self.evaluator.valid_loss([f]))
         return self._real[cfg]
 
     @property
@@ -75,44 +100,64 @@ class PoolSearcher:
         return len(self._real)
 
 
-def generate_queries(searcher: PoolSearcher, budget: BudgetProfile, *, seed: int,
-                     use_warmup: bool = True, top_m: int | None = None,
+def run_pools(searchers: list[PoolSearcher], problems: list[Problem]) -> list[list[Trial]]:
+    """``run_lockstep`` over one problem per pool (the pools share one
+    executor); each round's queries are prefetched together."""
+    def prefetch(proposals: list[list[tuple]]) -> None:
+        searchers[0].executor.prefetch(
+            [s.space.decode(c) for s, cfgs in zip(searchers, proposals) for c in cfgs])
+    return run_lockstep(problems, before_round=prefetch)
+
+
+def generate_queries(searchers: list[PoolSearcher], budget: BudgetProfile, *,
+                     seeds: list[int], use_warmup: bool = True, top_m: int | None = None,
                      proxy_warm: list | None = None
                      ) -> tuple[list[tuple[FeatureFrame, float]], GenerationStats]:
-    """Search one query pool; return the top-m (feature, real-loss) pairs.
+    """Search the template pools together; return each pool's top-m
+    (feature, real-loss) pairs, concatenated in pool order.
 
-    ``proxy_warm`` optionally seeds the warm-up round's surrogate with
-    (config, −proxy) observations already collected for this pool by the
-    QTI component's node evaluations.
+    Pool ``i`` searches with ``seeds[i]``. ``proxy_warm[i]`` optionally seeds
+    its warm-up round's surrogate with (config, −proxy) observations
+    already collected for that pool by the QTI component's node evaluations.
     """
     top_m = top_m if top_m is not None else budget.queries_per_template
-    shape = searcher.space.shape
+    proxy_warm = proxy_warm or [None] * len(searchers)
 
     if use_warmup:
-        # Round 1: maximise the proxy (negate — run_tpe minimises).
-        proxy_trials = run_tpe(
-            lambda cfg: -searcher.proxy_score(cfg), shape,
-            budget.warmup_iters, seed=seed,
-            warm_start=proxy_warm,
-            n_startup=0 if proxy_warm else 6,
-        )
+        # Round 1: maximise the proxy.
+        proxy_trials = run_pools(searchers, [
+            Problem(s.proxy_loss, s.space.shape, budget.warmup_iters, seed,
+                    warm_start=pw, n_startup=0 if pw else 6)
+            for s, seed, pw in zip(searchers, seeds, proxy_warm)])
         # Top-k distinct configs by proxy, real-evaluated → seed surrogate.
-        seen: set[tuple] = set()
-        ranked = [c for c, _ in sorted(proxy_trials, key=lambda t: t[1])
-                  if not (c in seen or seen.add(c))]
-        warm = [(cfg, searcher.real_loss(cfg)) for cfg in ranked[: budget.warmup_topk]]
-        trials = run_tpe(searcher.real_loss, shape, budget.gen_iters,
-                         seed=seed + 1, warm_start=warm,
-                         n_startup=0)  # the seed observations replace startup
+        warm = []
+        for s, trials in zip(searchers, proxy_trials):
+            seen: set[tuple] = set()
+            ranked = [c for c, _ in sorted(trials, key=lambda t: t[1])
+                      if not (c in seen or seen.add(c))]
+            warm.append([(cfg, s.real_loss(cfg)) for cfg in ranked[: budget.warmup_topk]])
+        trials = run_pools(searchers, [
+            Problem(s.real_loss, s.space.shape, budget.gen_iters, seed + 1,
+                    warm_start=w, n_startup=0)  # the seed observations replace startup
+            for s, seed, w in zip(searchers, seeds, warm)])
     else:
-        trials = run_tpe(searcher.real_loss, shape,
-                         budget.warmup_topk + budget.gen_iters, seed=seed + 1)
+        trials = run_pools(searchers, [
+            Problem(s.real_loss, s.space.shape, budget.warmup_topk + budget.gen_iters,
+                    seed + 1)
+            for s, seed in zip(searchers, seeds)])
 
-    stats = GenerationStats(n_proxy_evals=searcher.n_proxy, n_real_evals=searcher.n_real)
+    stats = GenerationStats(n_proxy_evals=sum(s.n_proxy for s in searchers),
+                            n_real_evals=sum(s.n_real for s in searchers),
+                            n_failed_queries=sum(s.n_failed for s in searchers))
 
-    # Rank all real-evaluated configs (deduped) by validation loss.
-    best: dict[tuple, float] = {}
-    for cfg, loss in trials:
-        best[cfg] = min(loss, best.get(cfg, float("inf")))
-    ranked = sorted(best.items(), key=lambda t: t[1])[:top_m]
-    return [(searcher.frame(cfg), loss) for cfg, loss in ranked], stats
+    # Per pool, rank its real-evaluated configs (deduped, failures dropped)
+    # by validation loss.
+    pairs: list[tuple[FeatureFrame, float]] = []
+    for s, pool_trials in zip(searchers, trials):
+        best: dict[tuple, float] = {}
+        for cfg, loss in pool_trials:
+            if loss < math.inf:
+                best[cfg] = min(loss, best.get(cfg, math.inf))
+        ranked = sorted(best.items(), key=lambda t: t[1])[:top_m]
+        pairs += [(s.frame(cfg), loss) for cfg, loss in ranked]
+    return pairs, stats

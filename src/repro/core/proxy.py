@@ -40,18 +40,18 @@ def mutual_information(x: np.ndarray, y: np.ndarray, *, task: str = "binary",
     n = bx.size
     if n == 0:
         return 0.0
-    joint: dict[tuple[int, int], int] = {}
-    for a, b in zip(bx, by):
-        joint[(a, b)] = joint.get((a, b), 0) + 1
-    px: dict[int, float] = {}
-    py: dict[int, float] = {}
-    for (a, b), c in joint.items():
-        px[a] = px.get(a, 0) + c
-        py[b] = py.get(b, 0) + c
-    mi = 0.0
-    for (a, b), c in joint.items():
-        p = c / n
-        mi += p * np.log2(p * n * n / (px[a] * py[b]))
+    # Joint cells of (bx, by) in order of first occurrence, with exact
+    # integer counts; the terms are summed one by one in that order.
+    bx, by = bx + 1, by + 1  # missing-value bins (-1) → 0
+    ny = int(by.max()) + 1
+    code = bx * ny + by
+    cells, first = np.unique(code, return_index=True)
+    cells = cells[np.argsort(first)]
+    c = np.bincount(code)[cells]
+    px = np.bincount(bx)[cells // ny]
+    py = np.bincount(by)[cells % ny]
+    p = c / n
+    mi = np.cumsum(p * np.log2(p * n * n / (px * py)))[-1]
     return float(max(mi, 0.0))
 
 

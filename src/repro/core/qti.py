@@ -12,6 +12,11 @@ top-β nodes per layer. Two optimizations make it practical:
   pairs, pre-ranks each layer's children so only the predicted top-β get
   proxy-evaluated.
 
+Nodes of one layer do not depend on each other, so ``effectiveness`` scores
+a whole layer per call — every singleton first, then each layer's
+(predicted) top-β children — and the full pipeline runs the layer's node
+searches in lockstep rounds (``tpe.run_lockstep``).
+
 Returns the top-n combos over *all* evaluated nodes, which become the query
 templates handed to the SQL Query Generation component.
 """
@@ -60,9 +65,10 @@ def identify_templates(attrs: tuple[str, ...], effectiveness, budget: BudgetProf
                        *, n_templates: int, seed: int = 0,
                        use_predictor: bool = True
                        ) -> tuple[list[tuple[str, ...]], QTIStats]:
-    """Beam-search the combo tree; ``effectiveness(combo) -> score`` (higher
-    = better) is the node evaluation — the short in-pool proxy search in the
-    full pipeline. Returns (top-n combos sorted attr-wise, stats)."""
+    """Beam-search the combo tree; ``effectiveness(combos) -> scores``
+    (higher = better, one per combo) evaluates one layer's nodes — the short
+    in-pool proxy searches in the full pipeline. Returns (top-n combos
+    sorted attr-wise, stats)."""
     attrs = tuple(attrs)
     beta = budget.qti_beam
     depth = min(budget.qti_depth, len(attrs))
@@ -72,17 +78,14 @@ def identify_templates(attrs: tuple[str, ...], effectiveness, budget: BudgetProf
     def canon(c) -> tuple[str, ...]:
         return tuple(a for a in attrs if a in set(c))
 
-    def evaluate(combo: tuple[str, ...]) -> float:
-        if combo not in scores:
-            scores[combo] = float(effectiveness(combo))
-            stats.n_nodes_evaluated += 1
-        return scores[combo]
+    def evaluate(layer: list[tuple[str, ...]]) -> None:
+        scores.update(zip(layer, map(float, effectiveness(layer))))
+        stats.n_nodes_evaluated += len(layer)
+        stats.layer_sizes.append(len(layer))
 
     # Layer 1: every singleton is evaluated (paper cost: |attr| · cost_p).
     layer = [canon((a,)) for a in attrs]
-    for c in layer:
-        evaluate(c)
-    stats.layer_sizes.append(len(layer))
+    evaluate(layer)
     beam = sorted(layer, key=lambda c: -scores[c])[:beta]
 
     predictor = TemplatePredictor(attrs)
@@ -99,15 +102,16 @@ def identify_templates(attrs: tuple[str, ...], effectiveness, budget: BudgetProf
                     seen.add(child)
         if not children:
             break
-        if use_predictor and len(children) > beta:
-            predictor.fit(list(scores.keys()), list(scores.values()))
+        # A node whose every query failed scores -inf; it cannot train the
+        # ridge regressor.
+        known = {c: s for c, s in scores.items() if np.isfinite(s)}
+        if use_predictor and len(children) > beta and known:
+            predictor.fit(list(known), list(known.values()))
             pred = predictor.predict(children)
             stats.n_nodes_predicted_only += len(children) - beta
             order = np.argsort(-pred)[:beta]
             children = [children[i] for i in order]
-        for c in children:
-            evaluate(c)
-        stats.layer_sizes.append(len(children))
+        evaluate(children)
         beam = sorted(children, key=lambda c: -scores[c])[:beta]
 
     top = sorted(scores.items(), key=lambda t: -t[1])[:n_templates]

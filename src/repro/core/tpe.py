@@ -18,10 +18,21 @@ loss to *minimise*):
 
 Warm-starting (§V-C) is just seeding the history with proxy-selected,
 real-evaluated observations before the loop.
+
+**Lockstep rounds.** FeatAug runs many short searches that do not depend on
+each other (the QTI nodes of a beam layer, the template pools).
+``run_lockstep`` drives them together: in each round every active search
+proposes (its whole startup batch at once, since startup draws ignore
+losses), a ``before_round`` hook sees all proposals (the search prefetches
+their Spark queries concurrently), then the objectives run in a fixed
+order. Each search keeps its own ``TPE`` state, so its trials are exactly
+those it would get alone; ``run_tpe`` is the one-search case.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -92,20 +103,53 @@ class TPE:
         return tuple(c)
 
 
+@dataclass
+class Problem:
+    """One independent TPE search: ``objective(config) -> loss`` (lower is
+    better) over ``shape``, ``n_iters`` suggestions after ``warm_start``."""
+
+    objective: Callable[[Config], float]
+    shape: tuple[int, ...]
+    n_iters: int
+    seed: int = 0
+    warm_start: list[Trial] | None = None
+    n_startup: int = 6
+
+
+def run_lockstep(problems: list[Problem], *, before_round=None) -> list[list[Trial]]:
+    """Drive independent TPE problems in lockstep rounds.
+
+    Returns each problem's full trial history (warm-start observations
+    included), identical to running it alone. ``before_round(proposals)``,
+    if given, is called once per round with one list of configs per
+    problem, before any of them is evaluated. Objective values that are NaN
+    are recorded as +inf so broken configurations (e.g. degenerate queries)
+    are never "good".
+    """
+    tpes = [TPE(p.shape, seed=p.seed, n_startup=p.n_startup) for p in problems]
+    trials = [list(p.warm_start or []) for p in problems]
+    left = [p.n_iters for p in problems]
+    while any(left):
+        proposals: list[list[Config]] = []
+        for tpe, hist, n in zip(tpes, trials, left):
+            batch: list[Config] = []
+            # Startup draws read only the configs seen so far, never a loss,
+            # so a problem's remaining startup draws share one round.
+            while len(batch) < n and (not batch or len(hist) + len(batch) < tpe.n_startup):
+                batch.append(tpe.suggest(hist + [(c, math.nan) for c in batch]))
+            proposals.append(batch)
+        if before_round is not None:
+            before_round(proposals)
+        for p, hist, batch in zip(problems, trials, proposals):
+            for cfg in batch:
+                loss = float(p.objective(cfg))
+                hist.append((cfg, math.inf if math.isnan(loss) else loss))
+        left = [n - len(b) for n, b in zip(left, proposals)]
+    return trials
+
+
 def run_tpe(objective, shape: tuple[int, ...], n_iters: int, *, seed: int = 0,
             warm_start: list[Trial] | None = None, n_startup: int = 6) -> list[Trial]:
-    """Drive a TPE loop: ``objective(config) -> loss`` (lower is better).
-
-    Returns the full trial history (warm-start observations included).
-    Objective values that are NaN are recorded as +inf so broken
-    configurations (e.g. degenerate queries) are never "good".
-    """
-    tpe = TPE(shape, seed=seed, n_startup=n_startup)
-    trials: list[Trial] = list(warm_start or [])
-    for _ in range(n_iters):
-        cfg = tpe.suggest(trials)
-        loss = float(objective(cfg))
-        if math.isnan(loss):
-            loss = float("inf")
-        trials.append((cfg, loss))
-    return trials
+    """One TPE search, ``objective(config) -> loss``: the one-problem case
+    of ``run_lockstep``."""
+    return run_lockstep([Problem(objective, shape, n_iters, seed, warm_start, n_startup)])[0]

@@ -1,9 +1,12 @@
-"""QueryExecutor: Catalyst execution, memoisation; merge_features: Definition 3."""
+"""QueryExecutor: Catalyst execution, memoisation, prefetch rounds;
+merge_features: Definition 3."""
 import pandas as pd
+import pytest
 
 from repro.core.executor import merge_features
 from repro.core.space import Predicate, Query
 from repro.core.sqlgen import build_sql
+from repro.core.template import PAPER_AGGS
 from repro.oracle import assert_equivalent
 
 
@@ -52,6 +55,72 @@ class TestMemoisation:
         a = lineitem_executor.feature_frame(q, "n1")
         b = lineitem_executor.feature_frame(q, "n2")
         assert "n1" in a.frame.columns and "n2" in b.frame.columns
+
+
+def _count_collects(monkeypatch, ex) -> list:
+    """Record every SQL text the executor sends to Spark."""
+    sent, collect = [], ex._collect
+    monkeypatch.setattr(ex, "_collect", lambda sql: sent.append(sql) or collect(sql))
+    return sent
+
+
+class TestPrefetch:
+    PRED = (Predicate("l_discount", "range", "number", lo=0.013),)
+
+    def test_frames_equal_standalone_for_all_aggs(self, spark, lineitem_executor):
+        ex = lineitem_executor
+        qs = [Query(agg, "l_quantity", self.PRED, ("l_orderkey",)) for agg in PAPER_AGGS]
+        sqls = [build_sql(q, ex.view) for q in qs]
+        alone = [spark.sql(sql).toPandas() for sql in sqls]
+        before = ex.n_queries
+        ex.prefetch(qs)
+        assert ex.n_queries == before + len(PAPER_AGGS)
+        for sql, want in zip(sqls, alone):
+            got = ex.run_sql(sql)
+            pd.testing.assert_frame_equal(got.sort_values("l_orderkey").reset_index(drop=True),
+                                          want.sort_values("l_orderkey").reset_index(drop=True),
+                                          check_exact=True)
+        assert ex.n_queries == before + len(PAPER_AGGS)
+
+    def test_duplicates_and_hits_not_sent(self, monkeypatch, lineitem_executor):
+        ex = lineitem_executor
+        hit = Query("SUM", "l_tax", self.PRED, ("l_orderkey",))
+        ex.feature_frame(hit, "h")
+        new = [Query(a, "l_tax", self.PRED, ("l_orderkey",)) for a in ("MIN", "MAX", "AVG")]
+        sent = _count_collects(monkeypatch, ex)
+        before = ex.n_queries
+        ex.prefetch([new[0], hit, new[1], new[0], new[2], new[1]])
+        want = [build_sql(q, ex.view) for q in new]
+        assert sorted(sent) == sorted(want)
+        assert ex.n_queries == before + 3
+        assert list(ex._cache)[-3:] == want  # memoised in input order
+        for i, q in enumerate([*new, hit]):
+            ex.feature_frame(q, f"n{i}")
+        assert len(sent) == 3 and ex.n_queries == before + 3
+
+    def test_failed_query_does_not_stop_its_round(self, monkeypatch, lineitem_executor):
+        ex = lineitem_executor
+        bad = Query("SUM", "no_such_col", (), ("l_orderkey",))
+        good = [Query(a, "l_linenumber", self.PRED, ("l_orderkey",)) for a in ("SUM", "MEDIAN")]
+        sent = _count_collects(monkeypatch, ex)
+        before = ex.n_queries
+        ex.prefetch([good[0], bad, good[1]])
+        assert ex.n_queries == before + 3
+        for i, q in enumerate(good):
+            assert len(ex.feature_frame(q, f"g{i}").frame) > 0
+        for _ in range(2):  # the failure is memoised: raised again, not rerun
+            with pytest.raises(Exception, match="no_such_col"):
+                ex.feature_frame(bad, "bad")
+        assert len(sent) == 3 and ex.n_queries == before + 3
+
+    def test_standalone_failure_memoised(self, monkeypatch, lineitem_executor):
+        ex = lineitem_executor
+        bad = Query("AVG", "no_such_col", (), ("l_orderkey",))
+        sent = _count_collects(monkeypatch, ex)
+        for _ in range(2):
+            with pytest.raises(Exception, match="no_such_col"):
+                ex.feature_frame(bad, "bad")
+        assert len(sent) == 1
 
 
 class TestAugment:

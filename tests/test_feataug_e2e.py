@@ -1,7 +1,9 @@
 """FeatAug end-to-end on the tiny Tmall context (all ablations/proxies)."""
 import pytest
 
-from repro.core.feataug import run_feataug
+from repro.core.config import TINY
+from repro.core.executor import QueryExecutor
+from repro.core.feataug import DatasetContext, run_feataug
 
 
 class TestFullRun:
@@ -25,6 +27,7 @@ class TestFullRun:
     def test_stats_recorded(self, full):
         for k in ("n_spark_queries", "n_model_fits", "qti_nodes_evaluated"):
             assert full.stats[k] > 0
+        assert full.stats["n_failed_queries"] == 0
 
     def test_deterministic(self, tmall_ctx, full):
         again = run_feataug(tmall_ctx, "LR", seed=0)
@@ -33,6 +36,31 @@ class TestFullRun:
         a, b = (run_feataug(tmall_ctx, "LR", seed=0, use_qti=False) for _ in range(2))
         assert a.result.test_metric == b.result.test_metric
         assert [f.sql for f in a.features] == [f.sql for f in b.features]
+
+
+    def test_same_feature_frame_sequence_on_fresh_contexts(self, spark, tiny_tmall,
+                                                           monkeypatch):
+        """The order of every executor request, not just the final features,
+        is a function of the seed: concurrent rounds must not perturb it."""
+        calls = []
+        feature_frame = QueryExecutor.feature_frame
+
+        def recorded(ex, q, name):
+            f = feature_frame(ex, q, name)
+            calls[-1].append((name.split("t", 1)[1], f.sql.replace(ex.view, "R")))
+            return f
+
+        monkeypatch.setattr(QueryExecutor, "feature_frame", recorded)
+        metrics = []
+        for _ in range(2):
+            calls.append([])
+            ctx = DatasetContext(spark, tiny_tmall, TINY, seed=0)
+            try:
+                metrics.append(run_feataug(ctx, "LR", seed=3).result.test_metric)
+            finally:
+                ctx.close()
+        assert calls[0] == calls[1] and len(calls[0]) > 10
+        assert metrics[0] == metrics[1]
 
 
 class TestAblations:

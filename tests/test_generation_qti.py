@@ -1,4 +1,7 @@
 """SQL Query Generation + QTI over a real (tiny) Spark context."""
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -37,7 +40,7 @@ class TestPoolSearcher:
 
 class TestGenerateQueries:
     def test_warmup_path(self, searcher):
-        pairs, stats = generate_queries(searcher, TINY, seed=0, use_warmup=True)
+        pairs, stats = generate_queries([searcher], TINY, seeds=[0], use_warmup=True)
         assert 1 <= len(pairs) <= TINY.queries_per_template
         losses = [l for _, l in pairs]
         assert losses == sorted(losses)
@@ -49,7 +52,7 @@ class TestGenerateQueries:
         s = PoolSearcher(tmall_ctx.space(("category",)), tmall_ctx.executor,
                          tmall_ctx.evaluator("LR"), make_proxy("MI", task="binary"),
                          prefix="tnowu")
-        pairs, stats = generate_queries(s, TINY, seed=0, use_warmup=False)
+        pairs, stats = generate_queries([s], TINY, seeds=[0], use_warmup=False)
         assert stats.n_proxy_evals == 0
         assert len(pairs) >= 1
 
@@ -58,11 +61,52 @@ class TestGenerateQueries:
             s = PoolSearcher(tmall_ctx.space(("brand",)), tmall_ctx.executor,
                              tmall_ctx.evaluator("LR"), make_proxy("MI", task="binary"),
                              prefix=prefix)
-            pairs, _ = generate_queries(s, TINY, seed=5)
+            pairs, _ = generate_queries([s], TINY, seeds=[5])
             return [(f.sql, round(l, 12)) for f, l in pairs]
 
         assert run("d1") == run("d2")
 
     def test_top_m_respected(self, searcher):
-        pairs, _ = generate_queries(searcher, TINY, seed=1, top_m=1)
+        pairs, _ = generate_queries([searcher], TINY, seeds=[1], top_m=1)
         assert len(pairs) == 1
+
+
+class TestLockstepPools:
+    COMBOS = (("category",), ("action_type", "ts_day"))
+
+    @staticmethod
+    def _searcher(ctx, combo, prefix):
+        return PoolSearcher(ctx.space(combo), ctx.executor, ctx.evaluator("LR"),
+                            make_proxy("MI", task="binary"), prefix=prefix)
+
+    @staticmethod
+    def _rows(pairs):
+        return [(f.name.split("_")[-1], f.sql, loss) for f, loss in pairs]
+
+    def test_pools_together_equal_pools_alone(self, tmall_ctx):
+        together = [self._searcher(tmall_ctx, c, f"lk{i}") for i, c in enumerate(self.COMBOS)]
+        pairs, stats = generate_queries(together, TINY, seeds=[3, 4])
+        alone = []
+        for i, (c, seed) in enumerate(zip(self.COMBOS, (3, 4))):
+            s = self._searcher(tmall_ctx, c, f"la{i}")
+            alone += generate_queries([s], TINY, seeds=[seed])[0]
+        assert self._rows(pairs) == self._rows(alone)
+        assert stats.n_failed_queries == 0
+
+    def test_failed_query_becomes_inf_trial(self, tmall_ctx, monkeypatch):
+        a, b = (self._searcher(tmall_ctx, c, f"lf{i}") for i, c in enumerate(self.COMBOS))
+        first: list = []
+        decode = a.space.decode
+
+        def broken_decode(cfg):
+            # the first config the pool ever proposes queries a missing column
+            first.append(cfg)
+            q = decode(cfg)
+            return dataclasses.replace(q, agg_attr="no_such_col") if cfg == first[0] else q
+
+        monkeypatch.setattr(a.space, "decode", broken_decode)
+        pairs, stats = generate_queries([a, b], TINY, seeds=[7, 8])
+        assert stats.n_failed_queries == 1
+        assert a.frame(first[0]) is None and a.real_loss(first[0]) == math.inf
+        assert pairs and all(math.isfinite(loss) for _, loss in pairs)
+        assert not any("no_such_col" in f.sql for f, _ in pairs)

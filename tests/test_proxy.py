@@ -51,6 +51,58 @@ class TestMI:
         assert mutual_information(np.ones(200), y) == pytest.approx(0.0, abs=1e-9)
 
 
+def _mi_dict_loop(x, y, *, task="binary", n_bins=8):
+    """The dict-loop ``mutual_information`` that the vectorised one replaced."""
+    bx = _bin_feature(x, n_bins)
+    if task == "regression":
+        by = _bin_feature(np.asarray(y, dtype=float), n_bins)
+    else:
+        _, by = np.unique(np.asarray(y), return_inverse=True)
+    n = bx.size
+    if n == 0:
+        return 0.0
+    joint = {}
+    for a, b in zip(bx, by):
+        joint[(a, b)] = joint.get((a, b), 0) + 1
+    px, py = {}, {}
+    for (a, b), c in joint.items():
+        px[a] = px.get(a, 0) + c
+        py[b] = py.get(b, 0) + c
+    mi = 0.0
+    for (a, b), c in joint.items():
+        p = c / n
+        mi += p * np.log2(p * n * n / (px[a] * py[b]))
+    return float(max(mi, 0.0))
+
+
+class TestMIBitIdentical:
+    @pytest.mark.parametrize("task", ["binary", "multiclass", "regression"])
+    def test_equals_dict_loop(self, task):
+        rng = np.random.default_rng(3)
+        for i in range(60):
+            n = int(rng.integers(1, 700))
+            x = rng.normal(0, 1, n) * (1e5 if i % 4 == 0 else 1.0)
+            if i % 3 == 0:
+                x[rng.random(n) < 0.25] = np.nan
+            if i % 5 == 0:
+                x[rng.random(n) < 0.1] = rng.choice([np.inf, -np.inf])
+            if i % 7 == 0:
+                x[:] = 2.5  # constant column
+            if i % 11 == 0:
+                x[:] = np.nan
+            if task == "binary":
+                y = rng.integers(0, 2, n)
+            elif task == "multiclass":
+                y = rng.choice(["a", "b", "c", "d"], n)
+            else:
+                y = np.where(np.isfinite(x), x, 0.0) + rng.normal(0, 1, n)
+            got, want = mutual_information(x, y, task=task), _mi_dict_loop(x, y, task=task)
+            assert got == want and np.signbit(got) == np.signbit(want)
+
+    def test_empty(self):
+        assert mutual_information(np.array([]), np.array([])) == 0.0
+
+
 class TestSpearman:
     def test_monotonic_is_one(self):
         x = np.arange(100, dtype=float)

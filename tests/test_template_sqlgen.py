@@ -1,5 +1,7 @@
 """Templates, one-hot encodings, SQL rendering (Spark only for the literal
 round-trip through the DuckDB oracle)."""
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -151,7 +153,7 @@ class TestQTIPure:
     UNIVERSE = ("A", "B", "C", "D", "E", "F")
 
     @staticmethod
-    def _eff(combo):
+    def _score(combo):
         # planted: {A, C} is the best pair; singletons A > C > rest
         s = set(combo)
         score = 0.0
@@ -159,6 +161,10 @@ class TestQTIPure:
         score += 1.0 if "C" in s else 0.0
         score += 1.5 if {"A", "C"} <= s else 0.0
         return score - 0.1 * len(s)
+
+    @classmethod
+    def _eff(cls, layer):
+        return [cls._score(c) for c in layer]
 
     def test_finds_planted_combo(self):
         combos, stats = identify_templates(
@@ -197,6 +203,20 @@ class TestQTIPure:
                                        n_templates=4)
         assert len(combos) == 4
         assert len(set(map(tuple, combos))) == 4
+
+    def test_failed_nodes_do_not_blind_the_predictor(self):
+        # every query of a B-node failed (-inf); the predictor still ranks
+        # A's children from the finite scores and evaluates (A, F)
+        def eff(layer):
+            w = {"A": 2.0, "F": 1.0}
+            return [-math.inf if "B" in c else
+                    sum(w.get(a, 0.0) for a in c) + (2.0 if {"A", "F"} <= set(c) else 0.0)
+                    for c in layer]
+
+        combos, stats = identify_templates(self.UNIVERSE, eff,
+                                           TINY.scaled(qti_beam=1, qti_depth=2),
+                                           n_templates=1)
+        assert combos == [("A", "F")] and stats.n_nodes_predicted_only == 4
 
     def test_depth_capped_by_universe(self):
         combos, _ = identify_templates(("A", "B"), self._eff,

@@ -1,8 +1,10 @@
-"""TPE: convergence, warm-start, API contracts."""
+"""TPE: convergence, warm-start, API contracts, lockstep rounds."""
+import math
+
 import numpy as np
 import pytest
 
-from repro.core.tpe import TPE, run_tpe
+from repro.core.tpe import TPE, Problem, run_lockstep, run_tpe
 
 
 def _planted_objective(shape, optimum, noise=0.0, seed=0):
@@ -90,3 +92,50 @@ class TestRunTPE:
     def test_single_option_dims(self):
         trials = run_tpe(lambda cfg: 1.0, (1, 1, 3), 5, seed=0)
         assert all(c[:2] == (0, 0) for c, _ in trials)
+
+
+def _sequential_tpe(objective, shape, n_iters, *, seed=0, warm_start=None, n_startup=6):
+    """The one-search-at-a-time loop that ``run_lockstep`` must reproduce."""
+    tpe = TPE(shape, seed=seed, n_startup=n_startup)
+    trials = list(warm_start or [])
+    for _ in range(n_iters):
+        cfg = tpe.suggest(trials)
+        loss = float(objective(cfg))
+        if math.isnan(loss):
+            loss = float("inf")
+        trials.append((cfg, loss))
+    return trials
+
+
+class TestLockstep:
+    @staticmethod
+    def _problems():
+        f = _planted_objective((6, 5, 4), (2, 3, 1))
+        g = _planted_objective((8, 8), (7, 0))
+        return [
+            Problem(f, (6, 5, 4), 9, seed=11, warm_start=[((2, 3, 0), 1.0), ((0, 0, 0), 3.0)],
+                    n_startup=0),
+            Problem(lambda cfg: float("nan") if cfg[0] % 2 else g(cfg) + 0.1 * cfg[1], (8, 8), 12,
+                    seed=5, n_startup=4),
+            Problem(f, (6, 5, 4), 7, seed=3, warm_start=[((1, 1, 1), 2.0)], n_startup=3),
+        ]
+
+    def test_matches_each_problem_alone(self):
+        together = run_lockstep(self._problems())
+        for p, trials in zip(self._problems(), together):
+            alone = _sequential_tpe(p.objective, p.shape, p.n_iters, seed=p.seed,
+                                    warm_start=p.warm_start, n_startup=p.n_startup)
+            assert trials == alone
+            assert trials == run_tpe(p.objective, p.shape, p.n_iters, seed=p.seed,
+                                     warm_start=p.warm_start, n_startup=p.n_startup)
+        assert any(loss == float("inf") for _, loss in together[1])
+
+    def test_rounds_batch_startup_draws(self):
+        rounds = []
+        run_lockstep(self._problems(), before_round=lambda cfgs: rounds.append(
+            [len(c) for c in cfgs]))
+        # problem 0 has no startup, problem 1 four startup draws, problem 2
+        # two (its warm start counts toward n_startup=3)
+        assert rounds[0] == [1, 4, 2]
+        assert all(n <= 1 for r in rounds[1:] for n in r)
+        assert [sum(r[i] for r in rounds) for i in range(3)] == [9, 12, 7]
