@@ -6,12 +6,12 @@ shape where it is stable under one seeded run.
 """
 import pytest
 
-from repro.experiments import run_table3
+from repro.experiments import run_table
 
 
 @pytest.mark.benchmark(group="table3")
 def test_bench_table3(spark, benchmark):
-    df = benchmark.pedantic(lambda: run_table3(spark), rounds=1, iterations=1)
+    df = benchmark.pedantic(lambda: run_table(spark, "table3"), rounds=1, iterations=1)
     assert df["value"].notna().sum() > 0
     _check_3(df)
 

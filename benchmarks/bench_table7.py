@@ -6,12 +6,12 @@ shape where it is stable under one seeded run.
 """
 import pytest
 
-from repro.experiments import run_table7
+from repro.experiments import run_table
 
 
 @pytest.mark.benchmark(group="table7")
 def test_bench_table7(spark, benchmark):
-    df = benchmark.pedantic(lambda: run_table7(spark), rounds=1, iterations=1)
+    df = benchmark.pedantic(lambda: run_table(spark, "table7"), rounds=1, iterations=1)
     assert df["value"].notna().sum() > 0
     _check_7(df)
 

@@ -6,12 +6,12 @@ shape where it is stable under one seeded run.
 """
 import pytest
 
-from repro.experiments import run_table8
+from repro.experiments import run_table
 
 
 @pytest.mark.benchmark(group="table8")
 def test_bench_table8(spark, benchmark):
-    df = benchmark.pedantic(lambda: run_table8(spark), rounds=1, iterations=1)
+    df = benchmark.pedantic(lambda: run_table(spark, "table8"), rounds=1, iterations=1)
     assert df["value"].notna().sum() > 0
     _check_8(df)
 

@@ -66,10 +66,7 @@ def spark() -> SparkSession:
         SparkSession.builder.appName("repro")
         # few shuffle partitions, as in jobs/run.py::get_spark: the search
         # loop runs hundreds of small GROUP BY queries
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "4"),
-        )
+        .config("spark.sql.shuffle.partitions", 4)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

@@ -138,7 +138,7 @@ def run_feataug(ctx: DatasetContext, model_name: str, *, seed: int = 0,
 
         combos, qti_stats = identify_templates(
             universe, effectiveness, budget,
-            n_templates=budget.n_templates, seed=seed,
+            n_templates=budget.n_templates,
         )
         stats["qti_nodes_evaluated"] = qti_stats.n_nodes_evaluated
         per_pool = budget.queries_per_template

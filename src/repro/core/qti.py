@@ -62,8 +62,7 @@ class QTIStats:
 
 
 def identify_templates(attrs: tuple[str, ...], effectiveness, budget: BudgetProfile,
-                       *, n_templates: int, seed: int = 0,
-                       use_predictor: bool = True
+                       *, n_templates: int, use_predictor: bool = True
                        ) -> tuple[list[tuple[str, ...]], QTIStats]:
     """Beam-search the combo tree; ``effectiveness(combos) -> scores``
     (higher = better, one per combo) evaluates one layer's nodes — the short

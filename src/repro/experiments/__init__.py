@@ -1,25 +1,12 @@
-"""Experiment harnesses — one module per paper table (see DESIGN.md §6).
+"""Experiment harness for the paper's tables (see DESIGN.md §6).
 
-Each ``run_tableN`` takes the session SparkSession, runs the table's grid,
-returns a tidy pandas DataFrame, writes ``results/tableN.csv`` and prints a
-paper-shaped pivot. Scale and budgets are environment-tunable:
+``run_table(spark, "tableN")`` runs one performance grid of ``GRIDS``
+(Tables III, VI, VII, VIII), returns a tidy pandas DataFrame, writes
+``results/tableN.csv`` and prints a paper-shaped pivot.
+``descriptor_tables`` builds the dataset and query-template descriptors
+(Tables I/II, IV/V). Data scale and seed default to the environment:
 ``REPRO_SCALE`` (default 0.6), ``REPRO_SEED`` (default 0).
 """
-from repro.experiments.harness import (
-    DEFAULT_SCALE,
-    budget_from_env,
-    results_dir,
-    save_and_print,
-)
-from repro.experiments.table1_2 import table1_rows, table2_rows
-from repro.experiments.table3 import run_table3
-from repro.experiments.table4_5 import table4_rows, table5_rows
-from repro.experiments.table6 import run_table6
-from repro.experiments.table7 import run_table7
-from repro.experiments.table8 import run_table8
+from repro.experiments.harness import GRIDS, descriptor_tables, run_table, save_and_print
 
-__all__ = [
-    "DEFAULT_SCALE", "budget_from_env", "results_dir", "save_and_print",
-    "table1_rows", "table2_rows", "table4_rows", "table5_rows",
-    "run_table3", "run_table6", "run_table7", "run_table8",
-]
+__all__ = ["GRIDS", "descriptor_tables", "run_table", "save_and_print"]

@@ -1,4 +1,11 @@
-"""Shared experiment utilities: budgets, result IO, method dispatch."""
+"""The paper's evaluation grids as data, and the one function that runs them.
+
+``GRIDS`` maps each performance table (§VII, Tables III, VI, VII, VIII) to
+its dataset generators, downstream models, methods and default budget;
+``run_table`` runs any of them. ``descriptor_tables`` builds the dataset and
+query-template descriptors (Tables I/II over the one-to-many datasets,
+IV/V over the one-to-one ones).
+"""
 from __future__ import annotations
 
 import os
@@ -8,18 +15,16 @@ from pathlib import Path
 import pandas as pd
 
 from repro.baselines import featuretools_features, run_arda, run_autofeature, run_random
-from repro.core.config import BENCH, BudgetProfile
+from repro.core.config import BENCH, SWEEP, BudgetProfile
 from repro.core.feataug import DatasetContext, run_feataug
+from repro.core.template import template_count
+from repro.datasets import ONE_TO_MANY, ONE_TO_ONE
 from repro.models.metrics import metric_name
 from repro.selectors import NotApplicableError, select
 
 #: default data scale for benches — R tables ~18–22k rows, D ~1–1.5k rows
 DEFAULT_SCALE = float(os.environ.get("REPRO_SCALE", "0.6"))
 DEFAULT_SEED = int(os.environ.get("REPRO_SEED", "0"))
-
-#: Featuretools + 7 selectors + Random + FeatAug (paper Table III rows)
-TABLE3_METHODS = ("FT", "FT+LR", "FT+GBDT", "FT+MI", "FT+Chi2", "FT+Gini",
-                  "FT+Forward", "FT+Backward", "Random", "FeatAug")
 
 #: ``run_feataug`` switches per FeatAug method name (Tables III, VII, VIII)
 FEATAUG_VARIANTS = {
@@ -30,15 +35,29 @@ FEATAUG_VARIANTS = {
     **{f"FeatAug({p})": {"proxy": p} for p in ("SC", "MI", "LR")},
 }
 
+_MODELS = ("LR", "XGB", "RF", "DeepFM")
 
-def budget_from_env(base: BudgetProfile = BENCH) -> BudgetProfile:
-    """Benchmark budget, shrunken further when REPRO_FAST=1."""
-    if os.environ.get("REPRO_FAST") == "1":
-        return base.scaled(warmup_iters=10, warmup_topk=3, gen_iters=5,
-                           n_templates=3, queries_per_template=3,
-                           qti_samples=6, selector_pool_cap=16,
-                           selector_sample_cap=4)
-    return base
+#: "tableN" -> (dataset generators, models, methods, default budget).
+#: One seeded repetition per cell (the paper averages 5; DESIGN.md §5).
+#: - III: Featuretools + 7 selectors + Random + FeatAug; AUC, or RMSE on
+#:   Merchant.
+#: - VI: DeepFM is left out (multiclass, §VII-C), and so are Forward and
+#:   Backward ("-" in the paper); macro-F1.
+#: - VII: the ablation. NoQTI searches one template over every WHERE
+#:   attribute; NoWU runs TPE on the real loss only.
+#: - VIII: the low-cost proxy drives both QTI and the warm-up round.
+GRIDS = {
+    "table3": (ONE_TO_MANY, _MODELS,
+               ("FT", "FT+LR", "FT+GBDT", "FT+MI", "FT+Chi2", "FT+Gini",
+                "FT+Forward", "FT+Backward", "Random", "FeatAug"), BENCH),
+    "table6": (ONE_TO_ONE, ("LR", "XGB", "RF"),
+               ("FT", "FT+LR", "FT+GBDT", "FT+MI", "FT+Chi2", "FT+Gini", "ARDA",
+                "AutoFeat-MAB", "AutoFeat-DQN", "Random", "FeatAug"), BENCH),
+    "table7": (ONE_TO_MANY, _MODELS,
+               ("FeatAug(NoQTI)", "FeatAug(NoWU)", "FeatAug(Full)"), SWEEP),
+    "table8": (ONE_TO_MANY, _MODELS,
+               ("FeatAug(SC)", "FeatAug(MI)", "FeatAug(LR)"), SWEEP),
+}
 
 
 def results_dir() -> Path:
@@ -63,12 +82,43 @@ def save_and_print(df: pd.DataFrame, name: str) -> pd.DataFrame:
     return df
 
 
+def descriptor_tables(spark, gens: dict, *, scale: float = DEFAULT_SCALE
+                      ) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """(dataset stats, query-template info) over ``gens``, each bundle built once.
+
+    Stats are the paper's Table I/IV columns: # of tables, rows in R and the
+    train/valid/test sizes. Template info is Table II/V: F, #A, #attr, K and
+    the template-set size 2^|attr|.
+    """
+    stats, templates = [], []
+    for gen in gens.values():
+        b = gen(spark, scale=scale, seed=7)
+        s = b.splits(0)
+        stats.append({
+            "dataset": b.name,
+            "n_tables": b.info.get("n_tables", 2),
+            "rows_in_R": b.n_r_rows,
+            "train/valid/test": f"{len(s.train)}/{len(s.valid)}/{len(s.test)}",
+        })
+        templates.append({
+            "dataset": b.name,
+            "F": f"{len(b.aggs)} fns ({', '.join(b.aggs[:5])}, …)",
+            "n_A": len(b.agg_attrs),
+            "n_attr": len(b.where_attrs),
+            "K": ", ".join(b.keys),
+            "n_T": template_count(len(b.where_attrs)),
+        })
+    return pd.DataFrame(stats), pd.DataFrame(templates)
+
+
 def run_method(method: str, ctx: DatasetContext, pool, model: str, *,
                seed: int = 0) -> dict:
     """Run one method of any table grid for one (dataset, model) scenario.
 
-    Returns {method, dataset, model, metric, value, seconds}; ``value`` is
-    NaN when the selector is undefined for the task (paper's "-").
+    ``pool`` is the Featuretools feature pool, read only by the ``FT*``
+    methods. Returns {method, dataset, model, metric, value, seconds};
+    ``value`` is NaN when the selector is undefined for the task (paper's
+    "-").
     """
     budget = ctx.budget
     t0 = time.time()
@@ -105,26 +155,28 @@ def run_method(method: str, ctx: DatasetContext, pool, model: str, *,
     }
 
 
-def build_context(spark, gen, *, scale: float, budget: BudgetProfile,
-                  seed: int) -> tuple[DatasetContext, list]:
-    """Dataset bundle + context + the shared Featuretools feature pool."""
-    bundle = gen(spark, scale=scale, seed=7)
-    ctx = DatasetContext(spark, bundle, budget, seed=seed)
-    pool = featuretools_features(ctx.executor, bundle)
-    return ctx, pool
-
-
-def run_grid(spark, gens: dict, table: str, *, datasets, models, methods,
-             scale: float, budget: BudgetProfile, seed: int,
-             save: bool) -> pd.DataFrame:
-    """One ``run_method`` row per (dataset, model, method) cell of a table."""
+def run_table(spark, table: str, *, scale: float = DEFAULT_SCALE,
+              budget: BudgetProfile | None = None, seed: int = DEFAULT_SEED,
+              datasets=None, models=None, methods=None,
+              save: bool = True) -> pd.DataFrame:
+    """One ``run_method`` row per (dataset, model, method) cell of
+    ``GRIDS[table]``; each of budget/datasets/models/methods left as None
+    takes the grid's value. With ``save`` the rows also go to
+    ``results/<table>.csv``."""
+    gens, grid_models, grid_methods, grid_budget = GRIDS[table]
+    budget = budget or grid_budget
+    methods = methods or grid_methods
     rows = []
-    for name in datasets:
-        ctx, pool = build_context(spark, gens[name], scale=scale,
-                                  budget=budget, seed=seed)
-        for model in models:
-            for method in methods:
-                rows.append(run_method(method, ctx, pool, model, seed=seed))
-        ctx.close()
+    for name in datasets or gens:
+        bundle = gens[name](spark, scale=scale, seed=7)
+        ctx = DatasetContext(spark, bundle, budget, seed=seed)
+        try:
+            pool = (featuretools_features(ctx.executor, bundle)
+                    if any(m.startswith("FT") for m in methods) else None)
+            for model in models or grid_models:
+                for method in methods:
+                    rows.append(run_method(method, ctx, pool, model, seed=seed))
+        finally:
+            ctx.close()
     df = pd.DataFrame(rows)
     return save_and_print(df, table) if save else df

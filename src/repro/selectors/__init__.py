@@ -15,8 +15,6 @@ from repro.selectors.filters import NotApplicableError, chi2_select, gini_select
 from repro.selectors.model_sel import gbdt_importance_select, lr_importance_select
 from repro.selectors.wrappers import backward_select, forward_select
 
-SELECTOR_NAMES = ("LR", "GBDT", "MI", "Chi2", "Gini", "Forward", "Backward")
-
 
 def select(method: str, pool, evaluator, n: int, *, seed: int = 0,
            budget=None):
@@ -38,7 +36,7 @@ def select(method: str, pool, evaluator, n: int, *, seed: int = 0,
     raise ValueError(f"unknown selector {method!r}")
 
 
-__all__ = ["NotApplicableError", "SELECTOR_NAMES", "select",
+__all__ = ["NotApplicableError", "select",
            "mi_select", "chi2_select", "gini_select",
            "lr_importance_select", "gbdt_importance_select",
            "forward_select", "backward_select"]

@@ -30,7 +30,6 @@ def forward_select(pool: list[FeatureFrame], evaluator: DownstreamEvaluator,
     cand = _prescreen(pool, evaluator, budget.selector_pool_cap)
     rng = np.random.default_rng(seed)
     chosen: list[FeatureFrame] = []
-    best_loss = evaluator.valid_loss([])
     while len(chosen) < n and cand:
         k = min(budget.selector_sample_cap, len(cand))
         sample_idx = rng.choice(len(cand), size=k, replace=False)
@@ -38,7 +37,6 @@ def forward_select(pool: list[FeatureFrame], evaluator: DownstreamEvaluator,
         j = int(np.argmin(losses))
         pick = cand.pop(int(sample_idx[j]))
         chosen.append(pick)
-        best_loss = min(best_loss, losses[j])
     return chosen
 
 

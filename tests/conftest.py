@@ -9,6 +9,7 @@ from repro.core.config import TINY
 from repro.core.executor import QueryExecutor
 from repro.core.feataug import DatasetContext
 from repro.datasets import household, tmall
+from tests import synth_data
 
 
 @pytest.fixture(scope="session")
@@ -37,7 +38,6 @@ def household_ctx(spark, tiny_household):
 
 @pytest.fixture(scope="session")
 def lineitem_small(spark):
-    from repro import synth_data
     return synth_data.lineitem(spark, sf=0.001, seed=0).cache()
 
 

@@ -8,6 +8,7 @@ from repro.core.space import Predicate, Query
 from repro.core.sqlgen import build_sql
 from repro.core.template import PAPER_AGGS
 from repro.oracle import assert_equivalent
+from tests import synth_data
 
 
 class TestFeatureFrame:
@@ -126,7 +127,6 @@ class TestPrefetch:
 class TestAugment:
     def test_definition3_matches_oracle(self, spark, lineitem_executor, lineitem_small):
         """merge_features == the paper's Definition-3 SQL run on DuckDB."""
-        from repro import synth_data
         orders = synth_data.orders(spark, sf=0.001, seed=1)
         q = Query("AVG", "l_extendedprice",
                   (Predicate("l_quantity", "range", "number", lo=10),),
