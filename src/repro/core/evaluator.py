@@ -7,21 +7,24 @@ downstream model on the augmented train split and measuring validation
 reporting.
 
 The split frames live driver-side (the training table is small; the heavy
-table is the relevant one, which stays in Spark): each evaluation merges the
-per-key feature frames produced by generated Spark SQL queries into the
-splits and trains a fresh, seeded numpy model.
+table is the relevant one, which stays in Spark): each evaluation stacks the
+per-key feature frames of generated Spark SQL queries, aligned to a split's
+rows by Definition 3, and trains a fresh, seeded numpy model. The search
+scores a candidate several times, so ``TableSplits`` memoises each aligned
+column per (split, SQL text), shared by every evaluator of a context.
 
 ``DownstreamEvaluator.matrix`` / ``labels`` are the only conversion from
 feature frames to model input; proxies, selectors and baselines read them too.
 """
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
 
-from repro.core.executor import FeatureFrame, merge_features
+from repro.core.executor import _CACHE_CAP, FeatureFrame, merge_features
 from repro.models import make_model
 from repro.models.metrics import task_loss, task_metric
 
@@ -42,6 +45,25 @@ class TableSplits:
     base_features: tuple[str, ...]
     task: str
     label: str = "label"
+    #: per split: the base-feature block (key ``None``) and each feature's
+    #: aligned column by SQL text; read-only, ``_CACHE_CAP`` per split (LRU)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def aligned(self, split: pd.DataFrame, key, build) -> np.ndarray:
+        """``build()``, memoised per (split, ``key``) if ``split`` is one of
+        the three splits and ``key`` is not ``""`` (a frame without SQL)."""
+        name = next((n for n in ("train", "valid", "test") if split is getattr(self, n)), None)
+        if name is None or key == "":
+            return build()
+        memo = self._memo.setdefault(name, OrderedDict())
+        if key in memo:
+            memo.move_to_end(key)
+            return memo[key]
+        out = memo[key] = build()
+        out.flags.writeable = False
+        if len(memo) > _CACHE_CAP:
+            memo.popitem(last=False)
+        return out
 
 
 def make_splits(D: pd.DataFrame, keys, base_features, task: str, *,
@@ -85,16 +107,22 @@ class DownstreamEvaluator:
                base: bool = True) -> np.ndarray:
         """Model input on ``split``'s rows: the base features (unless
         ``base=False``), then one Definition-3 column per feature."""
-        merged = merge_features(split, feats)
-        cols = [*(self.splits.base_features if base else ()), *(f.name for f in feats)]
-        return _clean(merged[cols].to_numpy(dtype=float))
+        cols = [self._column(split, f) for f in feats]
+        if base:
+            cols.insert(0, self.splits.aligned(split, None, lambda: _clean(
+                split[list(self.splits.base_features)].to_numpy(dtype=float))))
+        return np.column_stack(cols) if cols else np.empty((len(split), 0))
 
     def labels(self, split: pd.DataFrame) -> np.ndarray:
         return split[self.splits.label].to_numpy()
 
     def feature_on(self, split: pd.DataFrame, f: FeatureFrame) -> np.ndarray:
         """One candidate feature aligned to a split's rows."""
-        return self.matrix(split, [f], base=False)[:, 0]
+        return self._column(split, f)
+
+    def _column(self, split: pd.DataFrame, f: FeatureFrame) -> np.ndarray:
+        return self.splits.aligned(split, f.sql, lambda: _clean(
+            merge_features(split, [f])[f.name].to_numpy(dtype=float)))
 
     def _fit(self, feats: list[FeatureFrame]):
         tr = self.splits.train

@@ -16,8 +16,8 @@ A query that fails is memoised as its exception, which ``run_sql`` raises,
 so one failed candidate neither stops the rest of its round nor reruns.
 
 ``merge_features`` implements Definition 3 (training table LEFT JOIN query
-results, absent groups filled with 0) on the driver-side splits;
-``DownstreamEvaluator.matrix`` is its one caller.
+results, absent groups filled with 0) on the driver-side splits; the
+evaluator calls it once per (split, SQL text) to fill its column memo.
 """
 from __future__ import annotations
 

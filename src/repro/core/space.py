@@ -19,6 +19,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as fn
 from pyspark.sql import types as T
+from pyspark.sql.window import Window
 
 from repro.core.template import QueryTemplate
 
@@ -72,54 +73,69 @@ def profile_domains(R: DataFrame, attrs: list[str], *, cat_cap: int = 12,
     """Profile WHERE-attribute domains from the relevant Spark DataFrame.
 
     Categorical (string/boolean) attributes keep their ``cat_cap`` most
-    frequent values (one groupBy per attribute); numeric/date/timestamp
-    attributes keep a deduplicated ``grid``-point quantile grid via
-    ``approxQuantile`` (dates/timestamps are profiled on their epoch cast and
-    mapped back).
+    frequent values; numeric/date/timestamp attributes keep a deduplicated
+    ``grid``-point quantile grid via ``approxQuantile`` (dates/timestamps
+    are profiled on their epoch cast and mapped back). One grouped pass
+    profiles every categorical and one multi-column ``approxQuantile`` every
+    other attribute, so the Spark job count does not grow with ``attrs``.
     """
     schema = {f.name: f.dataType for f in R.schema.fields}
-    out: dict[str, AttrDomain] = {}
-    probs = list(np.linspace(0.0, 1.0, grid))
     for a in attrs:
         if a not in schema:
             raise KeyError(f"attribute {a!r} not in relevant table columns {sorted(schema)}")
+    cats = [a for a in attrs if isinstance(schema[a], (T.StringType, T.BooleanType))]
+    nums = [a for a in attrs if a not in cats]
+
+    top: dict[str, list[str]] = {a: [] for a in cats}
+    if cats:
+        # booleans cast to "false"/"true", which sort like the booleans
+        pairs = fn.explode(fn.array(*(
+            fn.struct(fn.lit(a).alias("attr"), fn.col(a).cast("string").alias("value"))
+            for a in cats)))
+        by_count = Window.partitionBy("attr").orderBy(fn.desc("count"), fn.asc("value"))
+        rows = (
+            R.select(pairs.alias("p")).select("p.*")
+            .where(fn.col("value").isNotNull())
+            .groupBy("attr", "value").count()
+            .select("attr", "value", fn.row_number().over(by_count).alias("rank"))
+            .where(fn.col("rank") <= cat_cap)
+            .collect()
+        )
+        for r in sorted(rows, key=lambda r: r["rank"]):
+            top[r["attr"]].append(r["value"])
+
+    def epoch(a: str):
         dt = schema[a]
-        if isinstance(dt, (T.StringType, T.BooleanType)):
-            rows = (
-                R.where(fn.col(a).isNotNull())
-                .groupBy(a).count()
-                .orderBy(fn.desc("count"), fn.asc(a))
-                .limit(cat_cap)
-                .collect()
-            )
-            out[a] = AttrDomain(a, "categorical", "string",
-                                tuple(str(r[a]) for r in rows))
+        if isinstance(dt, T.DateType):
+            return fn.datediff(fn.col(a), fn.lit("1970-01-01"))
+        if isinstance(dt, T.TimestampType):
+            return fn.unix_timestamp(fn.col(a))
+        if isinstance(dt, T.NumericType):
+            return fn.col(a)
+        raise TypeError(f"unsupported WHERE-attribute type {dt} for {a!r}")
+
+    probs = list(np.linspace(0.0, 1.0, grid))
+    cols = [epoch(a).alias(a) for a in nums]
+    grids = dict(zip(nums, R.select(*cols).approxQuantile(nums, probs, 0.001))) if nums else {}
+
+    out: dict[str, AttrDomain] = {}
+    for a in attrs:
+        dt = schema[a]
+        if a in top:
+            vals = [str(v == "true") for v in top[a]] if isinstance(dt, T.BooleanType) else top[a]
+            out[a] = AttrDomain(a, "categorical", "string", tuple(vals))
         elif isinstance(dt, T.DateType):
-            num = R.select(fn.datediff(fn.col(a), fn.lit("1970-01-01")).alias("v"))
-            qs = num.na.drop().approxQuantile("v", probs, 0.001)
-            days = sorted(set(int(q) for q in qs))
-            vals = tuple(
+            out[a] = AttrDomain(a, "numeric", "date", tuple(
                 (pd.Timestamp("1970-01-01") + pd.Timedelta(days=d)).date().isoformat()
-                for d in days
-            )
-            out[a] = AttrDomain(a, "numeric", "date", vals)
+                for d in sorted(set(int(q) for q in grids[a]))))
         elif isinstance(dt, T.TimestampType):
-            num = R.select(fn.unix_timestamp(fn.col(a)).alias("v"))
-            qs = num.na.drop().approxQuantile("v", probs, 0.001)
-            secs = sorted(set(int(q) for q in qs))
-            vals = tuple(
-                pd.Timestamp(s, unit="s").strftime("%Y-%m-%d %H:%M:%S") for s in secs
-            )
-            out[a] = AttrDomain(a, "numeric", "timestamp", vals)
-        elif isinstance(dt, T.NumericType):
-            qs = R.select(a).na.drop().approxQuantile(a, probs, 0.001)
-            if isinstance(dt, T.IntegralType):
-                vals = tuple(sorted(set(int(round(q)) for q in qs)))
-            else:
-                vals = tuple(sorted(set(float(q) for q in qs)))
-            out[a] = AttrDomain(a, "numeric", "number", vals)
+            out[a] = AttrDomain(a, "numeric", "timestamp", tuple(
+                pd.Timestamp(s, unit="s").strftime("%Y-%m-%d %H:%M:%S")
+                for s in sorted(set(int(q) for q in grids[a]))))
         else:
-            raise TypeError(f"unsupported WHERE-attribute type {dt} for {a!r}")
+            conv = (lambda q: int(round(q))) if isinstance(dt, T.IntegralType) else float
+            out[a] = AttrDomain(a, "numeric", "number",
+                                tuple(sorted(set(conv(q) for q in grids[a]))))
     return out
 
 

@@ -30,13 +30,5 @@ ONE_TO_ONE = {
     "Household": household,
 }
 
-
-def make_dataset(name: str, spark, *, scale: float = 1.0, seed: int = 7) -> DatasetBundle:
-    gens = {**ONE_TO_MANY, **ONE_TO_ONE}
-    if name not in gens:
-        raise KeyError(f"unknown dataset {name!r}; have {sorted(gens)}")
-    return gens[name](spark, scale=scale, seed=seed)
-
-
-__all__ = ["DatasetBundle", "ONE_TO_MANY", "ONE_TO_ONE", "make_dataset",
+__all__ = ["DatasetBundle", "ONE_TO_MANY", "ONE_TO_ONE",
            "tmall", "instacart", "student", "merchant", "covtype", "household"]

@@ -4,10 +4,17 @@ import pytest
 from pyspark.sql import types as T
 
 from repro.core.proxy import mutual_information
-from repro.datasets import ONE_TO_MANY, ONE_TO_ONE, make_dataset
+from repro.datasets import ONE_TO_MANY, ONE_TO_ONE
 
 ALL = {**ONE_TO_MANY, **ONE_TO_ONE}
 SCALE = 0.12
+
+
+def make_dataset(name: str, spark, *, scale: float = 1.0, seed: int = 7):
+    """Build the named dataset bundle; unknown names raise ``KeyError``."""
+    if name not in ALL:
+        raise KeyError(f"unknown dataset {name!r}; have {sorted(ALL)}")
+    return ALL[name](spark, scale=scale, seed=seed)
 
 
 @pytest.fixture(scope="module")

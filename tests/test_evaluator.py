@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import evaluator as evaluator_mod
 from repro.core.evaluator import DownstreamEvaluator, TableSplits, make_splits
 from repro.core.executor import FeatureFrame, merge_features
 
@@ -100,6 +101,76 @@ class TestMatrix:
                                                     "f": [np.nan, np.inf, -np.inf]}))
         np.testing.assert_array_equal(ev.matrix(split, [f]),
                                       [[0.0, 0.0], [1.0, 1e12], [2.0, -1e12]])
+
+    @staticmethod
+    def _composite_splits():
+        rng = np.random.default_rng(3)
+        n = 60
+        D = pd.DataFrame({"a": rng.integers(0, 8, n), "b": np.arange(n) % 5,
+                          "b1": rng.normal(0, 1, n), "label": rng.integers(0, 2, n)})
+        D = D.drop_duplicates(["a", "b"])
+        s = make_splits(D, ("a", "b"), ("b1",), "binary", seed=0)
+        full = D[["a", "b"]].iloc[::2].reset_index(drop=True)  # half the keys absent
+        vals = rng.normal(0, 1, len(full))
+        vals[:3] = [np.nan, np.inf, -np.inf]
+        g = full.assign(g=vals)
+        sub = pd.DataFrame({"a": [0, 2, 3, 5], "h": [1.5, np.nan, -2.0, np.inf]})
+        feats = [FeatureFrame("g", ("a", "b"), g, sql="SELECT g"),
+                 FeatureFrame("h", ("a",), sub, sql="SELECT h")]
+        return s, feats
+
+    def test_memoised_equals_merge_on_every_split(self):
+        s, feats = self._composite_splits()
+        ev = DownstreamEvaluator(s, "LR")
+        for split in (s.train, s.valid, s.test):
+            expected = np.nan_to_num(
+                merge_features(split, feats)[["b1", "g", "h"]].to_numpy(dtype=float),
+                nan=0.0, posinf=1e12, neginf=-1e12)
+            for _ in range(2):  # fills the memo, then reads it
+                np.testing.assert_array_equal(ev.matrix(split, feats), expected)
+                np.testing.assert_array_equal(ev.matrix(split, feats[::-1], base=False),
+                                              expected[:, [2, 1]])
+            assert (ev.matrix(split, feats) == 0).any()  # absent keys, NaN
+            assert np.abs(ev.matrix(split, feats)).max() == 1e12  # ±inf clamped
+
+    def test_second_call_is_memo_hit_and_read_only(self, monkeypatch):
+        s, feats = self._composite_splits()
+        calls = []
+        monkeypatch.setattr(evaluator_mod, "merge_features",
+                            lambda base, fs: calls.append(fs) or merge_features(base, fs))
+        ev1, ev2 = DownstreamEvaluator(s, "LR"), DownstreamEvaluator(s, "XGB")
+        first = ev1.feature_on(s.valid, feats[0])
+        assert len(calls) == 1
+        again = ev2.feature_on(s.valid, feats[0])  # memo shared by the splits' evaluators
+        X = ev2.matrix(s.valid, feats)
+        assert len(calls) == 2  # only h on valid was new
+        np.testing.assert_array_equal(again, first)
+        np.testing.assert_array_equal(X[:, 1], first)
+        for col in (first, again):
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 1.0
+
+    def test_frames_without_sql_are_not_confused(self):
+        s, _ = self._composite_splits()
+        ev = DownstreamEvaluator(s, "LR")
+        keys = s.train[["a", "b"]]
+        f1 = FeatureFrame("f1", ("a", "b"), keys.assign(f1=1.0))
+        f2 = FeatureFrame("f2", ("a", "b"), keys.assign(f2=2.0))
+        np.testing.assert_array_equal(ev.feature_on(s.train, f1), np.ones(len(keys)))
+        np.testing.assert_array_equal(ev.feature_on(s.train, f2), np.full(len(keys), 2.0))
+        np.testing.assert_array_equal(ev.matrix(s.train, [f1, f2], base=False),
+                                      np.tile([1.0, 2.0], (len(keys), 1)))
+
+    def test_frame_that_is_not_a_split(self):
+        s, feats = self._composite_splits()
+        ev = DownstreamEvaluator(s, "LR")
+        other = s.train.iloc[::-1].reset_index(drop=True)
+        ev.matrix(s.train, feats)  # fill the train memo
+        expected = np.nan_to_num(merge_features(other, feats)[["b1", "g", "h"]]
+                                 .to_numpy(dtype=float), posinf=1e12, neginf=-1e12)
+        np.testing.assert_array_equal(ev.matrix(other, feats), expected)
+        np.testing.assert_array_equal(ev.matrix(other, feats), ev.matrix(s.train, feats)[::-1])
 
     def test_labels(self):
         D, _ = _toy_table(100)

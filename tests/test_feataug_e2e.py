@@ -1,9 +1,22 @@
 """FeatAug end-to-end on the tiny Tmall context (all ablations/proxies)."""
 import pytest
 
+from repro.core import evaluator
 from repro.core.config import TINY
 from repro.core.executor import QueryExecutor
 from repro.core.feataug import DatasetContext, run_feataug
+
+
+def _record_merges(monkeypatch) -> list:
+    """Record the (split, SQL) of every Definition-3 merge from now on."""
+    merged, merge_features = [], evaluator.merge_features
+
+    def recorded(base, feats):
+        merged.extend((id(base), f.sql) for f in feats)
+        return merge_features(base, feats)
+
+    monkeypatch.setattr(evaluator, "merge_features", recorded)
+    return merged
 
 
 class TestFullRun:
@@ -29,13 +42,16 @@ class TestFullRun:
             assert full.stats[k] > 0
         assert full.stats["n_failed_queries"] == 0
 
-    def test_deterministic(self, tmall_ctx, full):
+    def test_deterministic(self, tmall_ctx, full, monkeypatch):
+        merged = _record_merges(monkeypatch)
         again = run_feataug(tmall_ctx, "LR", seed=0)
+        assert merged == []  # a warm rerun aligns nothing
         assert again.result.test_metric == full.result.test_metric
         assert [f.sql for f in again.features] == [f.sql for f in full.features]
         a, b = (run_feataug(tmall_ctx, "LR", seed=0, use_qti=False) for _ in range(2))
         assert a.result.test_metric == b.result.test_metric
         assert [f.sql for f in a.features] == [f.sql for f in b.features]
+        assert len(merged) == len(set(merged))  # at most once per (split, SQL)
 
 
     def test_same_feature_frame_sequence_on_fresh_contexts(self, spark, tiny_tmall,
@@ -51,6 +67,7 @@ class TestFullRun:
             return f
 
         monkeypatch.setattr(QueryExecutor, "feature_frame", recorded)
+        merged = _record_merges(monkeypatch)
         metrics = []
         for _ in range(2):
             calls.append([])
@@ -59,6 +76,9 @@ class TestFullRun:
                 metrics.append(run_feataug(ctx, "LR", seed=3).result.test_metric)
             finally:
                 ctx.close()
+            # a cold search aligns each feature at most once per split
+            assert merged and len(merged) == len(set(merged))
+            merged.clear()
         assert calls[0] == calls[1] and len(calls[0]) > 10
         assert metrics[0] == metrics[1]
 

@@ -51,6 +51,29 @@ class TestProfileDomains:
         assert d.sql_type == "date"
         assert d.values[0] == "2023-01-01"
 
+    def test_all_together_equals_each_alone(self, typed_df):
+        attrs = list(typed_df.columns)
+        together = profile_domains(typed_df, attrs, cat_cap=2, grid=7)
+        assert list(together) == attrs
+        for a in attrs:
+            assert together[a] == profile_domains(typed_df, [a], cat_cap=2, grid=7)[a]
+
+    def test_job_count_does_not_grow_with_attrs(self, spark, typed_df):
+        sc = spark.sparkContext
+
+        def jobs(attrs, group):
+            sc.setJobGroup(group, "profile_domains")
+            try:
+                profile_domains(typed_df, attrs)
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+                sc.setLocalProperty("spark.job.description", None)
+            return len(sc.statusTracker().getJobIdsForGroup(group))
+
+        one_each = jobs(["cat", "num_i"], "profile-two")
+        assert one_each >= 1
+        assert jobs(list(typed_df.columns), "profile-all") == one_each
+
     def test_missing_attr_raises(self, typed_df):
         with pytest.raises(KeyError):
             profile_domains(typed_df, ["nope"])
