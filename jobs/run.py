@@ -27,7 +27,6 @@ def get_spark(app: str) -> SparkSession:
         # GROUP BY queries, each paying per-task overhead
         .config("spark.sql.shuffle.partitions", 4)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.enabled", "false")
         .getOrCreate()
     )

@@ -5,8 +5,8 @@ to materialising every predicate-free group-by aggregation
 ``SELECT k, agg(a) FROM R GROUP BY k`` for agg ∈ F, a ∈ A — exactly the
 paper's Example 3. This module computes the whole |F|×|A| feature matrix in
 a *single wide Spark aggregation pass* for the 13 builtin functions, plus
-one generated CTE query per attribute for ENTROPY and MAD (no Spark
-builtin), then slices it into individual :class:`FeatureFrame`s.
+one generated query per attribute for ENTROPY and MAD (no Spark builtin;
+a per-group window subquery), then slices it into :class:`FeatureFrame`s.
 
 Feature order is agg-major over the paper's F list (SUM of every attribute,
 then MIN of every attribute, ...), so "FT without a selector" truncated to

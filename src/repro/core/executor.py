@@ -124,11 +124,12 @@ class QueryExecutor:
 
 def merge_features(base: pd.DataFrame, feats: list[FeatureFrame]) -> pd.DataFrame:
     """Definition 3: left-join each feature frame into ``base`` on its
-    (possibly subset) key columns and fill absent groups with 0."""
+    (possibly subset) key columns and fill absent groups with 0. As in the
+    SQL ``LEFT JOIN``, a NULL key matches nothing, not even a NULL-key group."""
     out = base
     for f in feats:
-        cols = [*f.keys, f.name]
-        out = out.merge(f.frame[cols], on=list(f.keys), how="left")
+        keys = list(f.keys)
+        out = out.merge(f.frame[[*keys, f.name]].dropna(subset=keys), on=keys, how="left")
     names = [f.name for f in feats]
     if names:
         out[names] = out[names].astype(float).fillna(0.0)

@@ -1,6 +1,6 @@
 """Render a :class:`~repro.core.space.Query` to SQL text.
 
-The generated text is the paper's canonical shape (Definition 2):
+Every aggregate renders, in both dialects, as the paper's Definition 2:
 
 .. code-block:: sql
 
@@ -9,15 +9,17 @@ The generated text is the paper's canonical shape (Definition 2):
     GROUP BY k
 
 Most of the 15 aggregation functions map to builtins shared by Spark SQL and
-DuckDB; three need special handling:
+DuckDB. Three have no builtin with Spark's semantics; their ``FROM`` is a
+subquery over the filtered rows that adds a per-group window column (no CTE,
+no join, so NULL-key groups are kept like everywhere else):
 
-- ``ENTROPY`` (base-2 Shannon entropy of the value distribution inside each
-  group) and ``MAD`` (median absolute deviation) have no Spark builtin and
-  are rendered as two-level CTE aggregations valid in both dialects;
-- ``KURTOSIS``: Spark's builtin is the *population excess* kurtosis
-  (m4/m2² − 3) while DuckDB's is the sample-adjusted estimator, so the
-  DuckDB dialect renders the population formula explicitly — this is what
-  lets the oracle tests pin Spark's semantics exactly.
+- ``MAD`` (median absolute deviation): ``MEDIAN(ABS(v - s))``, s = median;
+- ``ENTROPY`` (base-2 Shannon entropy of the group's value distribution):
+  ``SUM(-p * LOG2(p))``, ``p`` each distinct value's share of the group;
+- ``KURTOSIS``, DuckDB only: Spark's builtin is the *population excess*
+  kurtosis (m4/m2² − 3), DuckDB's the sample-adjusted estimator, so the
+  DuckDB dialect spells out the population formula around the group's mean
+  ``s`` — this is what lets the oracle tests pin Spark's semantics exactly.
 """
 from __future__ import annotations
 
@@ -41,6 +43,17 @@ _SHARED = {
 
 #: every aggregate Spark computes in one GROUP BY pass (FT's wide pass too)
 SPARK_AGGS = {**_SHARED, "KURTOSIS": "KURTOSIS({a})"}
+
+#: agg-name → (inner columns, inner GROUP BY, outer aggregate); consulted after
+#: the dialect's single-level table, so only DuckDB reaches KURTOSIS here
+_TWO_LEVEL = {
+    "MAD": ("{a} AS v, MEDIAN({a}) OVER (PARTITION BY {k}) AS s", "",
+            "MEDIAN(ABS(v - s))"),
+    "ENTROPY": ("COUNT(*) * 1.0 / SUM(COUNT(*)) OVER (PARTITION BY {k}) AS p",
+                "GROUP BY {k}, {a}", "SUM(-p * LOG2(p))"),
+    "KURTOSIS": ("{a} AS v, AVG({a}) OVER (PARTITION BY {k}) AS s", "",
+                 "(SUM(POW(v - s, 4)) / COUNT(v)) / POW(SUM(POW(v - s, 2)) / COUNT(v), 2) - 3"),
+}
 
 
 def literal(v, sql_type: str) -> str:
@@ -70,52 +83,22 @@ def where_sql(q: Query) -> str:
     return ("WHERE " + " AND ".join(parts)) if parts else ""
 
 
-def _two_level(q: Query, table: str, inner_agg: str, outer: str) -> str:
-    """Shared CTE scaffold for ENTROPY / MAD / explicit KURTOSIS."""
-    keys = ", ".join(q.keys)
-    on = " AND ".join(f"flt.{k} = st.{k}" for k in q.keys)
-    fkeys = ", ".join(f"flt.{k}" for k in q.keys)
-    return (
-        f"WITH flt AS (SELECT {keys}, {q.agg_attr} AS v FROM {table} {where_sql(q)}),\n"
-        f"     st AS (SELECT {keys}, {inner_agg} AS s FROM flt GROUP BY {keys})\n"
-        f"SELECT {fkeys}, {outer} AS feature\n"
-        f"FROM flt JOIN st ON {on} GROUP BY {fkeys}"
-    )
-
-
-def _entropy_sql(q: Query, table: str) -> str:
-    # two group-bys: per-(group, value) counts, then Σ −(c/t)·log2(c/t)
-    keys = ", ".join(q.keys)
-    ckeys = ", ".join(f"cnt.{k}" for k in q.keys)
-    on = " AND ".join(f"cnt.{k} = tot.{k}" for k in q.keys)
-    return (
-        f"WITH flt AS (SELECT {keys}, {q.agg_attr} AS v FROM {table} {where_sql(q)}),\n"
-        f"     cnt AS (SELECT {keys}, v, COUNT(*) AS c FROM flt GROUP BY {keys}, v),\n"
-        f"     tot AS (SELECT {keys}, SUM(c) AS t FROM cnt GROUP BY {keys})\n"
-        f"SELECT {ckeys}, SUM(-(c * 1.0 / t) * LOG2(c * 1.0 / t)) AS feature\n"
-        f"FROM cnt JOIN tot ON {on} GROUP BY {ckeys}"
-    )
+def _clauses(*parts: str) -> str:
+    return " ".join(p for p in parts if p)
 
 
 def build_sql(q: Query, table: str, dialect: str = "spark") -> str:
     """Render ``q`` against ``table``; ``dialect`` ∈ {"spark", "duckdb"}."""
     if dialect not in ("spark", "duckdb"):
         raise ValueError(f"unknown dialect {dialect!r}")
+    keys = ", ".join(q.keys)
     single = SPARK_AGGS if dialect == "spark" else _SHARED
     if q.agg in single:
-        keys = ", ".join(q.keys)
-        expr = single[q.agg].format(a=q.agg_attr)
-        parts = (f"SELECT {keys}, {expr} AS feature FROM {table}", where_sql(q),
-                 f"GROUP BY {keys}")
-        return " ".join(p for p in parts if p)
-    if q.agg == "ENTROPY":
-        return _entropy_sql(q, table)
-    if q.agg == "MAD":
-        return _two_level(q, table, "MEDIAN(v)", "MEDIAN(ABS(v - s))")
-    if q.agg == "KURTOSIS":
-        # DuckDB: population excess kurtosis m4/m2^2 - 3 (Spark semantics)
-        return _two_level(
-            q, table, "AVG(v)",
-            "(SUM(POW(v - s, 4)) / COUNT(*)) / POW(SUM(POW(v - s, 2)) / COUNT(*), 2) - 3",
-        )
-    raise ValueError(f"unknown aggregation {q.agg!r}")
+        outer = single[q.agg].format(a=q.agg_attr)
+        source = _clauses(table, where_sql(q))
+    elif q.agg in _TWO_LEVEL:
+        cols, group, outer = (s.format(a=q.agg_attr, k=keys) for s in _TWO_LEVEL[q.agg])
+        source = f"({_clauses(f'SELECT {keys}, {cols} FROM {table}', where_sql(q), group)})"
+    else:
+        raise ValueError(f"unknown aggregation {q.agg!r}")
+    return f"SELECT {keys}, {outer} AS feature FROM {source} GROUP BY {keys}"

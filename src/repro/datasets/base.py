@@ -29,7 +29,6 @@ class DatasetBundle:
     agg_attrs: tuple[str, ...]
     where_attrs: tuple[str, ...]
     task: str                      # "binary" | "multiclass" | "regression"
-    relationship: str = "one-to-many"
     aggs: tuple[str, ...] = PAPER_AGGS
     info: dict = field(default_factory=dict)
 

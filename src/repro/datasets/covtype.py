@@ -75,6 +75,5 @@ def covtype(spark: SparkSession, *, scale: float = 1.0, seed: int = 7) -> Datase
         where_attrs=("elevation", "slope", "h_dist_hydro", "aspect",
                      "hillshade_noon", "soil_type"),
         task="multiclass",
-        relationship="one-to-one",
         info={"n_tables": 1, "planted": "gated interactions, e.g. slope·I(elevation high)"},
     )

@@ -72,7 +72,6 @@ def test_one_to_many_relationship(bundles, name):
 def test_one_to_one_relationship(bundles, name):
     b = bundles[name]
     assert b.R.count() == len(b.D)
-    assert b.relationship == "one-to-one"
 
 
 class TestPlantedSignal:

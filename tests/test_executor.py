@@ -3,7 +3,7 @@ merge_features: Definition 3."""
 import pandas as pd
 import pytest
 
-from repro.core.executor import merge_features
+from repro.core.executor import FeatureFrame, merge_features
 from repro.core.space import Predicate, Query
 from repro.core.sqlgen import build_sql
 from repro.core.template import PAPER_AGGS
@@ -143,3 +143,22 @@ class TestAugment:
             "FROM d LEFT JOIN qr ON d.l_orderkey = qr.l_orderkey"
         )
         assert_equivalent(spark.createDataFrame(aug), oracle_sql, d=D, li=lineitem_small)
+
+    def test_definition3_null_keys_match_oracle(self, spark):
+        """A NULL key in D matches no group of q(R), not even R's NULL-key
+        group, exactly as in the SQL LEFT JOIN."""
+        R = pd.DataFrame({"k": pd.array([1, 1, None, None, 3], dtype="Int64"),
+                          "a": [1.0, 2.0, 40.0, 59.0, 5.0]})
+        spark.createDataFrame(R).createOrReplaceTempView("r_null_keys")
+        D = pd.DataFrame({"k": [1.0, 2.0, None, 3.0], "y": [0.5, 1.5, 2.5, 3.5]})
+        q = Query("SUM", "a", (), ("k",))
+        got = spark.sql(build_sql(q, "r_null_keys")).toPandas()
+        assert got["k"].isna().sum() == 1  # q(R) has the NULL-key group (99.0)
+        aug = merge_features(D, [FeatureFrame("feature", ("k",), got)])
+        oracle_sql = (
+            f"WITH qr AS ({build_sql(q, 'r_null_keys', 'duckdb')}) "
+            "SELECT d.k AS k, d.y AS y, COALESCE(qr.feature, 0.0) AS feature "
+            "FROM d LEFT JOIN qr ON d.k = qr.k"
+        )
+        assert_equivalent(aug, oracle_sql, d=D, r_null_keys=R)
+        assert aug.loc[aug["k"].isna(), "feature"].tolist() == [0.0]

@@ -80,6 +80,12 @@ def _q(agg, preds=(), keys=("k",)):
     return Query(agg, "a", tuple(preds), keys)
 
 
+@pytest.fixture(scope="module")
+def plan_r(spark):
+    spark.createDataFrame(pd.DataFrame({"k": [1, 2], "c": ["x", "y"], "a": [1.0, 2.0]})) \
+        .createOrReplaceTempView("plan_r")
+
+
 class TestBuildSQL:
     @pytest.mark.parametrize("agg", [a for a in PAPER_AGGS
                                      if a not in ("ENTROPY", "MAD", "KURTOSIS")])
@@ -97,7 +103,8 @@ class TestBuildSQL:
         s1 = build_sql(_q(agg), "R", "spark")
         s2 = build_sql(_q(agg), "R", "duckdb")
         assert s1 == s2
-        assert s1.startswith("WITH flt AS")
+        assert s1.startswith("SELECT k, ") and s1.endswith(") GROUP BY k")
+        assert "OVER (PARTITION BY k)" in s1 and "JOIN" not in s1
 
     def test_kurtosis_dialects_differ(self):
         spark = build_sql(_q("KURTOSIS"), "R", "spark")
@@ -119,8 +126,8 @@ class TestBuildSQL:
     def test_two_level_with_predicate_and_composite_keys(self):
         q = Query("MAD", "a", (Predicate("d", "eq", "string", value="x"),), ("k1", "k2"))
         sql = build_sql(q, "R")
-        assert "WHERE d = 'x'" in sql
-        assert "flt.k1 = st.k1 AND flt.k2 = st.k2" in sql
+        assert "OVER (PARTITION BY k1, k2)" in sql and "JOIN" not in sql
+        assert "FROM (SELECT k1, k2, " in sql and "FROM R WHERE d = 'x') GROUP BY k1, k2" in sql
 
     @pytest.mark.parametrize("agg", ["SUM", "KURTOSIS", "ENTROPY"])
     def test_double_space_literal_kept(self, spark, agg):
@@ -142,9 +149,15 @@ class TestBuildSQL:
         with pytest.raises(ValueError):
             build_sql(_q("SUM"), "R", dialect="mysql")
 
-    def test_query_short_name(self):
-        q = _q("SUM", [Predicate("d", "eq", "string", value="x")])
-        assert "sum" in q.short_name() and "d=x" in q.short_name()
+    @pytest.mark.parametrize("keys", [("k",), ("k", "c")])
+    @pytest.mark.parametrize("agg", PAPER_AGGS)
+    def test_no_join_in_plan(self, spark, plan_r, agg, keys):
+        q = _q(agg, [Predicate("c", "eq", "string", value="x")], keys)
+        sqls = [build_sql(q, "plan_r", d) for d in ("spark", "duckdb")]
+        assert not any("JOIN" in sql for sql in sqls)
+        qe = spark.sql(sqls[0])._jdf.queryExecution()
+        assert "Join" not in qe.optimizedPlan().toString()
+        assert "Join" not in qe.executedPlan().toString()
 
 
 class TestQTIPure:
