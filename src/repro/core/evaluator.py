@@ -50,11 +50,11 @@ class TableSplits:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def aligned(self, split: pd.DataFrame, key, build) -> np.ndarray:
-        """``build()``, memoised per (split, ``key``) if ``split`` is one of
-        the three splits and ``key`` is not ``""`` (a frame without SQL)."""
+        """``build()``, memoised per (split, ``key``); ``split`` must be one
+        of the three splits."""
         name = next((n for n in ("train", "valid", "test") if split is getattr(self, n)), None)
-        if name is None or key == "":
-            return build()
+        if name is None:
+            raise ValueError("aligned columns exist only for train, valid or test")
         memo = self._memo.setdefault(name, OrderedDict())
         if key in memo:
             memo.move_to_end(key)

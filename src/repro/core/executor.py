@@ -1,10 +1,11 @@
 """Catalyst execution of generated queries + training-table augmentation.
 
-The relevant table is cached once as a temp view; every candidate query in
-the search loop is one ``spark.sql`` round-trip whose generated WHERE clause
-Catalyst pushes below the aggregation. Results (small per-key frames) are
-collected to pandas for the driver-side model training, and memoised by SQL
-text — TPE frequently revisits configurations.
+The relevant table is cached once, as one partition, under a temp view;
+the count that fills that cache is set-up's only Spark action. Every
+candidate query in the search loop is one ``spark.sql`` round-trip whose
+generated WHERE clause Catalyst pushes below the aggregation. Results (small
+per-key frames) are collected to pandas for the driver-side model training,
+and memoised by SQL text — TPE frequently revisits configurations.
 
 Each query is a single-task job whose cost is mostly fixed overhead, so the
 search hands the executor a whole lockstep round of candidates at once:
@@ -47,7 +48,7 @@ class FeatureFrame:
     name: str
     keys: tuple[str, ...]
     frame: pd.DataFrame  # columns: *keys, name
-    sql: str = ""
+    sql: str  # what produced ``frame``; the evaluator memoises columns by it
 
 
 class QueryExecutor:
@@ -56,13 +57,11 @@ class QueryExecutor:
     def __init__(self, spark: SparkSession, R: DataFrame, view: str):
         self.spark = spark
         self.view = view
-        # Small-data search loop: a coalesced cache = less per-task overhead
-        # per generated query (hundreds of queries per scenario). The session
-        # builder keeps shuffle partitions low for the same reason.
-        n_rows = R.count()
-        n_parts = max(1, min(R.rdd.getNumPartitions(), n_rows // 250_000 + 1))
-        self.R = R.coalesce(n_parts).cache()
-        self.R.count()  # materialise the cache before the search loop
+        # One cached partition: each generated query is one small task, so
+        # per-task overhead, not scan width, bounds the search loop. The
+        # session builder keeps shuffle partitions low for the same reason.
+        self.R = R.coalesce(1).cache()
+        self.R.count()  # fill the cache: set-up's only Spark action
         self.R.createOrReplaceTempView(view)
         self.n_queries = 0
         self.n_cache_hits = 0

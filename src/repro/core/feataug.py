@@ -91,6 +91,7 @@ def run_feataug(ctx: DatasetContext, model_name: str, *, seed: int = 0,
     universe = tuple(bundle.where_attrs)
 
     stats: dict = {"proxy": proxy, "use_qti": use_qti, "use_warmup": use_warmup}
+    n_queries_before = ctx.executor.n_queries  # the context's running total
 
     searchers: dict[tuple, PoolSearcher] = {}
 
@@ -136,10 +137,7 @@ def run_feataug(ctx: DatasetContext, model_name: str, *, seed: int = 0,
                 scores.append(-min(loss for _, loss in trials))
             return scores
 
-        combos, qti_stats = identify_templates(
-            universe, effectiveness, budget,
-            n_templates=budget.n_templates,
-        )
+        combos, qti_stats = identify_templates(universe, effectiveness, budget)
         stats["qti_nodes_evaluated"] = qti_stats.n_nodes_evaluated
         per_pool = budget.queries_per_template
     else:
@@ -182,7 +180,7 @@ def run_feataug(ctx: DatasetContext, model_name: str, *, seed: int = 0,
     result = evaluator.evaluate(feats)
     stats.update(
         n_features=len(feats),
-        n_spark_queries=ctx.executor.n_queries,
+        n_spark_queries=ctx.executor.n_queries - n_queries_before,
         n_model_fits=evaluator.n_fits,
         n_failed_queries=sum(s.n_failed for s in searchers.values()),
     )

@@ -22,7 +22,7 @@ templates handed to the SQL Query Generation component.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,16 +58,14 @@ class TemplatePredictor:
 class QTIStats:
     n_nodes_evaluated: int = 0
     n_nodes_predicted_only: int = 0
-    layer_sizes: list[int] = field(default_factory=list)
 
 
-def identify_templates(attrs: tuple[str, ...], effectiveness, budget: BudgetProfile,
-                       *, n_templates: int, use_predictor: bool = True
+def identify_templates(attrs: tuple[str, ...], effectiveness, budget: BudgetProfile
                        ) -> tuple[list[tuple[str, ...]], QTIStats]:
     """Beam-search the combo tree; ``effectiveness(combos) -> scores``
     (higher = better, one per combo) evaluates one layer's nodes — the short
-    in-pool proxy searches in the full pipeline. Returns (top-n combos
-    sorted attr-wise, stats)."""
+    in-pool proxy searches in the full pipeline. Returns (the top
+    ``budget.n_templates`` combos, sorted attr-wise, and stats)."""
     attrs = tuple(attrs)
     beta = budget.qti_beam
     depth = min(budget.qti_depth, len(attrs))
@@ -80,7 +78,6 @@ def identify_templates(attrs: tuple[str, ...], effectiveness, budget: BudgetProf
     def evaluate(layer: list[tuple[str, ...]]) -> None:
         scores.update(zip(layer, map(float, effectiveness(layer))))
         stats.n_nodes_evaluated += len(layer)
-        stats.layer_sizes.append(len(layer))
 
     # Layer 1: every singleton is evaluated (paper cost: |attr| · cost_p).
     layer = [canon((a,)) for a in attrs]
@@ -104,7 +101,7 @@ def identify_templates(attrs: tuple[str, ...], effectiveness, budget: BudgetProf
         # A node whose every query failed scores -inf; it cannot train the
         # ridge regressor.
         known = {c: s for c, s in scores.items() if np.isfinite(s)}
-        if use_predictor and len(children) > beta and known:
+        if len(children) > beta and known:
             predictor.fit(list(known), list(known.values()))
             pred = predictor.predict(children)
             stats.n_nodes_predicted_only += len(children) - beta
@@ -113,5 +110,5 @@ def identify_templates(attrs: tuple[str, ...], effectiveness, budget: BudgetProf
         evaluate(children)
         beam = sorted(children, key=lambda c: -scores[c])[:beta]
 
-    top = sorted(scores.items(), key=lambda t: -t[1])[:n_templates]
+    top = sorted(scores.items(), key=lambda t: -t[1])[:budget.n_templates]
     return [c for c, _ in top], stats

@@ -26,7 +26,7 @@ proposes (its whole startup batch at once, since startup draws ignore
 losses), a ``before_round`` hook sees all proposals (the search prefetches
 their Spark queries concurrently), then the objectives run in a fixed
 order. Each search keeps its own ``TPE`` state, so its trials are exactly
-those it would get alone; ``run_tpe`` is the one-search case.
+those it would get alone.
 """
 from __future__ import annotations
 
@@ -147,9 +147,3 @@ def run_lockstep(problems: list[Problem], *, before_round=None) -> list[list[Tri
         left = [n - len(b) for n, b in zip(left, proposals)]
     return trials
 
-
-def run_tpe(objective, shape: tuple[int, ...], n_iters: int, *, seed: int = 0,
-            warm_start: list[Trial] | None = None, n_startup: int = 6) -> list[Trial]:
-    """One TPE search, ``objective(config) -> loss``: the one-problem case
-    of ``run_lockstep``."""
-    return run_lockstep([Problem(objective, shape, n_iters, seed, warm_start, n_startup)])[0]

@@ -1,6 +1,6 @@
 """The seven feature selectors combined with Featuretools (§VII-A3).
 
-``select(method, pool, evaluator, n, seed)`` returns the chosen
+``select(method, pool, evaluator, n, seed=, budget=)`` returns the chosen
 :class:`FeatureFrame` subset:
 
 - filter selectors — ``MI``, ``Chi2``, ``Gini`` (:mod:`filters`);
@@ -16,8 +16,7 @@ from repro.selectors.model_sel import gbdt_importance_select, lr_importance_sele
 from repro.selectors.wrappers import backward_select, forward_select
 
 
-def select(method: str, pool, evaluator, n: int, *, seed: int = 0,
-           budget=None):
+def select(method: str, pool, evaluator, n: int, *, seed: int = 0, budget):
     """Dispatch a selector by its paper name over a FeatureFrame pool."""
     if method == "MI":
         return mi_select(pool, evaluator, n)

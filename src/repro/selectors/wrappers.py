@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import BENCH, BudgetProfile
+from repro.core.config import BudgetProfile
 from repro.core.evaluator import DownstreamEvaluator
 from repro.core.executor import FeatureFrame
 from repro.selectors.filters import mi_select
@@ -25,8 +25,7 @@ def _prescreen(pool, evaluator, cap: int):
 
 
 def forward_select(pool: list[FeatureFrame], evaluator: DownstreamEvaluator,
-                   n: int, *, seed: int = 0, budget: BudgetProfile | None = None):
-    budget = budget or BENCH
+                   n: int, *, seed: int = 0, budget: BudgetProfile):
     cand = _prescreen(pool, evaluator, budget.selector_pool_cap)
     rng = np.random.default_rng(seed)
     chosen: list[FeatureFrame] = []
@@ -41,8 +40,7 @@ def forward_select(pool: list[FeatureFrame], evaluator: DownstreamEvaluator,
 
 
 def backward_select(pool: list[FeatureFrame], evaluator: DownstreamEvaluator,
-                    n: int, *, seed: int = 0, budget: BudgetProfile | None = None):
-    budget = budget or BENCH
+                    n: int, *, seed: int = 0, budget: BudgetProfile):
     chosen = _prescreen(pool, evaluator, budget.selector_pool_cap)
     rng = np.random.default_rng(seed)
     while len(chosen) > n:

@@ -40,21 +40,21 @@ class TestMakeSplits:
 
 def _feature(D: pd.DataFrame, col: str, name: str) -> FeatureFrame:
     f = D[["k", col]].rename(columns={col: name})
-    return FeatureFrame(name=name, keys=("k",), frame=f)
+    return FeatureFrame(name=name, keys=("k",), frame=f, sql=f"SELECT k, {col} AS {name}")
 
 
 class TestMergeFeatures:
     def test_left_join_and_fill(self):
         base = pd.DataFrame({"k": [1, 2, 3], "x": [0.0, 0.0, 0.0]})
         f = FeatureFrame("f1", ("k",),
-                         pd.DataFrame({"k": [1, 3], "f1": [5.0, 7.0]}))
+                         pd.DataFrame({"k": [1, 3], "f1": [5.0, 7.0]}), sql="SELECT f1")
         out = merge_features(base, [f])
         assert list(out["f1"]) == [5.0, 0.0, 7.0]  # absent key filled with 0
 
     def test_composite_key_merge(self):
         base = pd.DataFrame({"a": [1, 1], "b": [1, 2], "x": [0, 0]})
         f = FeatureFrame("g", ("a", "b"),
-                         pd.DataFrame({"a": [1], "b": [2], "g": [9.0]}))
+                         pd.DataFrame({"a": [1], "b": [2], "g": [9.0]}), sql="SELECT g")
         out = merge_features(base, [f])
         assert list(out["g"]) == [0.0, 9.0]
 
@@ -72,8 +72,9 @@ class TestMatrix:
     def test_base_first_then_features_in_order(self):
         split = pd.DataFrame({"k": [1, 2, 3], "b1": [0.5, 1.5, 2.5], "label": [0, 1, 0]})
         ev = _evaluator_on(split, ("k",))
-        f1 = FeatureFrame("f1", ("k",), pd.DataFrame({"k": [1, 3], "f1": [5.0, 7.0]}))
-        f2 = FeatureFrame("f2", ("k",), pd.DataFrame({"k": [2], "f2": [9.0]}))
+        f1 = FeatureFrame("f1", ("k",), pd.DataFrame({"k": [1, 3], "f1": [5.0, 7.0]}),
+                          sql="SELECT f1")
+        f2 = FeatureFrame("f2", ("k",), pd.DataFrame({"k": [2], "f2": [9.0]}), sql="SELECT f2")
         X = ev.matrix(split, [f1, f2])
         # absent keys are 0 (Definition 3)
         np.testing.assert_array_equal(X, [[0.5, 5.0, 0.0], [1.5, 0.0, 9.0], [2.5, 7.0, 0.0]])
@@ -86,8 +87,10 @@ class TestMatrix:
         split = pd.DataFrame({"a": [1, 1, 2, 3], "b": [1, 2, 1, 1],
                               "b1": [0.0, 1.0, 2.0, 3.0], "label": [0, 1, 1, 0]})
         ev = _evaluator_on(split, ("a", "b"))
-        g = FeatureFrame("g", ("a",), pd.DataFrame({"a": [1, 2], "g": [4.0, 6.0]}))
-        h = FeatureFrame("h", ("a", "b"), pd.DataFrame({"a": [1], "b": [2], "h": [3.0]}))
+        g = FeatureFrame("g", ("a",), pd.DataFrame({"a": [1, 2], "g": [4.0, 6.0]}),
+                         sql="SELECT g")
+        h = FeatureFrame("h", ("a", "b"), pd.DataFrame({"a": [1], "b": [2], "h": [3.0]}),
+                         sql="SELECT h")
         X = ev.matrix(split, [g, h])
         np.testing.assert_array_equal(X[:, 1], [4.0, 4.0, 6.0, 0.0])  # broadcast over b
         np.testing.assert_array_equal(X[:, 2], [0.0, 3.0, 0.0, 0.0])
@@ -98,7 +101,8 @@ class TestMatrix:
         split = pd.DataFrame({"k": [1, 2, 3], "b1": [np.nan, 1.0, 2.0], "label": [0, 1, 0]})
         ev = _evaluator_on(split, ("k",))
         f = FeatureFrame("f", ("k",), pd.DataFrame({"k": [1, 2, 3],
-                                                    "f": [np.nan, np.inf, -np.inf]}))
+                                                    "f": [np.nan, np.inf, -np.inf]}),
+                         sql="SELECT f")
         np.testing.assert_array_equal(ev.matrix(split, [f]),
                                       [[0.0, 0.0], [1.0, 1e12], [2.0, -1e12]])
 
@@ -155,8 +159,11 @@ class TestMatrix:
         s, _ = self._composite_splits()
         ev = DownstreamEvaluator(s, "LR")
         keys = s.train[["a", "b"]]
-        f1 = FeatureFrame("f1", ("a", "b"), keys.assign(f1=1.0))
-        f2 = FeatureFrame("f2", ("a", "b"), keys.assign(f2=2.0))
+        # the memo keys columns by SQL text, so a frame must carry one
+        with pytest.raises(TypeError, match="sql"):
+            FeatureFrame("f1", ("a", "b"), keys.assign(f1=1.0))
+        f1 = FeatureFrame("f1", ("a", "b"), keys.assign(f1=1.0), sql="SELECT f1")
+        f2 = FeatureFrame("f2", ("a", "b"), keys.assign(f2=2.0), sql="SELECT f2")
         np.testing.assert_array_equal(ev.feature_on(s.train, f1), np.ones(len(keys)))
         np.testing.assert_array_equal(ev.feature_on(s.train, f2), np.full(len(keys), 2.0))
         np.testing.assert_array_equal(ev.matrix(s.train, [f1, f2], base=False),
@@ -165,12 +172,13 @@ class TestMatrix:
     def test_frame_that_is_not_a_split(self):
         s, feats = self._composite_splits()
         ev = DownstreamEvaluator(s, "LR")
-        other = s.train.iloc[::-1].reset_index(drop=True)
-        ev.matrix(s.train, feats)  # fill the train memo
-        expected = np.nan_to_num(merge_features(other, feats)[["b1", "g", "h"]]
-                                 .to_numpy(dtype=float), posinf=1e12, neginf=-1e12)
-        np.testing.assert_array_equal(ev.matrix(other, feats), expected)
-        np.testing.assert_array_equal(ev.matrix(other, feats), ev.matrix(s.train, feats)[::-1])
+        other = s.train.iloc[::-1].reset_index(drop=True)  # equal rows, not a split
+        expected = ev.matrix(s.train, feats)  # fill the train memo
+        for call in (lambda: ev.matrix(other, feats), lambda: ev.matrix(other, []),
+                     lambda: ev.feature_on(other, feats[0])):
+            with pytest.raises(ValueError, match="train, valid or test"):
+                call()
+        np.testing.assert_array_equal(ev.matrix(s.train, feats), expected)
 
     def test_labels(self):
         D, _ = _toy_table(100)

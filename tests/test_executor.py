@@ -3,7 +3,7 @@ merge_features: Definition 3."""
 import pandas as pd
 import pytest
 
-from repro.core.executor import FeatureFrame, merge_features
+from repro.core.executor import FeatureFrame, QueryExecutor, merge_features
 from repro.core.space import Predicate, Query
 from repro.core.sqlgen import build_sql
 from repro.core.template import PAPER_AGGS
@@ -39,6 +39,33 @@ class TestFeatureFrame:
         assert list(f.frame.columns) == ["l_orderkey", "myfeat"]
         assert f.keys == ("l_orderkey",)
         assert f.sql == build_sql(q, lineitem_executor.view)
+
+
+class TestSetUp:
+    def test_one_job_and_one_cached_partition(self, spark):
+        """Set-up runs one Spark action, the count that fills the cache, and
+        caches one partition. Adaptive execution runs a count as one job per
+        stage, so the job count is compared with a plain ``count`` of R."""
+        sc = spark.sparkContext
+
+        def jobs(group, fn):
+            sc.setJobGroup(group, "QueryExecutor set-up")
+            try:
+                out = fn()
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+                sc.setLocalProperty("spark.job.description", None)
+            return out, len(sc.statusTracker().getJobIdsForGroup(group))
+
+        R = spark.range(3000, numPartitions=3).selectExpr("id % 7 AS k", "id AS a")
+        _, one_count = jobs("r-count", R.count)
+        ex, n_jobs = jobs("executor-setup", lambda: QueryExecutor(spark, R, view="setup_test"))
+        try:
+            assert n_jobs == one_count >= 1
+            assert ex.R.rdd.getNumPartitions() == 1
+            assert ex.run_sql("SELECT COUNT(*) AS n FROM setup_test")["n"].tolist() == [3000]
+        finally:
+            ex.unpersist()
 
 
 class TestMemoisation:
@@ -154,7 +181,8 @@ class TestAugment:
         q = Query("SUM", "a", (), ("k",))
         got = spark.sql(build_sql(q, "r_null_keys")).toPandas()
         assert got["k"].isna().sum() == 1  # q(R) has the NULL-key group (99.0)
-        aug = merge_features(D, [FeatureFrame("feature", ("k",), got)])
+        f = FeatureFrame("feature", ("k",), got, sql=build_sql(q, "r_null_keys"))
+        aug = merge_features(D, [f])
         oracle_sql = (
             f"WITH qr AS ({build_sql(q, 'r_null_keys', 'duckdb')}) "
             "SELECT d.k AS k, d.y AS y, COALESCE(qr.feature, 0.0) AS feature "

@@ -82,6 +82,26 @@ class TestFullRun:
         assert calls[0] == calls[1] and len(calls[0]) > 10
         assert metrics[0] == metrics[1]
 
+    def test_spark_query_count_is_per_run(self, spark, tiny_tmall, monkeypatch):
+        """``n_spark_queries`` counts this run's Spark queries, not the
+        context's: every distinct SQL text on a fresh context, none warm."""
+        sqls = set()
+        feature_frame = QueryExecutor.feature_frame
+
+        def recorded(ex, q, name):
+            f = feature_frame(ex, q, name)
+            sqls.add(f.sql)
+            return f
+
+        monkeypatch.setattr(QueryExecutor, "feature_frame", recorded)
+        ctx = DatasetContext(spark, tiny_tmall, TINY, seed=0)
+        try:
+            cold = run_feataug(ctx, "LR", seed=1)
+            assert cold.stats["n_spark_queries"] == len(sqls) > 0
+            assert run_feataug(ctx, "LR", seed=1).stats["n_spark_queries"] == 0
+        finally:
+            ctx.close()
+
 
 class TestAblations:
     def test_noqti_single_template(self, tmall_ctx):

@@ -1,4 +1,6 @@
 """Domain profiling and query-vector spaces over Spark DataFrames."""
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -96,7 +98,9 @@ class TestQuerySpace:
         assert space.shape == (3, 1, 4, 6, 6, 2, 2)
 
     def test_size(self, space):
-        assert space.size() == 3 * 1 * 4 * 6 * 6 * 2 * 2
+        configs = list(itertools.product(*map(range, space.shape)))
+        assert len(configs) == 3 * 1 * 4 * 6 * 6 * 2 * 2
+        assert all(space.decode(c).keys for c in configs)  # every config decodes
 
     def test_sample_in_bounds(self, space):
         rng = np.random.default_rng(0)

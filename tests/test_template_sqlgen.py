@@ -21,7 +21,8 @@ class TestTemplate:
     def test_quadruple_fields(self):
         t = QueryTemplate(("SUM", "AVG"), ("price",), ("dept", "ts"), ("cname",))
         assert t.aggs == ("SUM", "AVG")
-        assert t.combo == frozenset({"dept", "ts"})
+        assert t.agg_attrs == ("price",)
+        assert t.where_attrs == ("dept", "ts") and t.keys == ("cname",)
 
     def test_unknown_agg_rejected(self):
         with pytest.raises(ValueError):
@@ -181,39 +182,53 @@ class TestQTIPure:
 
     def test_finds_planted_combo(self):
         combos, stats = identify_templates(
-            self.UNIVERSE, self._eff, TINY.scaled(qti_beam=2, qti_depth=3),
-            n_templates=3)
+            self.UNIVERSE, self._eff, TINY.scaled(qti_beam=2, qti_depth=3, n_templates=3))
         assert ("A", "C") in [c[:2] if len(c) >= 2 else c for c in combos] or \
                any(set(c) >= {"A", "C"} for c in combos)
 
+    @classmethod
+    def _recorded(cls, budget):
+        """identify_templates, plus each layer its ``effectiveness`` saw."""
+        layers = []
+        _, stats = identify_templates(
+            cls.UNIVERSE, lambda layer: layers.append(list(layer)) or cls._eff(layer), budget)
+        return layers, stats
+
     def test_layer1_evaluates_all_singletons(self):
-        _, stats = identify_templates(self.UNIVERSE, self._eff,
-                                      TINY.scaled(qti_beam=1, qti_depth=2),
-                                      n_templates=2)
-        assert stats.layer_sizes[0] == len(self.UNIVERSE)
+        layers, stats = self._recorded(TINY.scaled(qti_beam=1, qti_depth=2, n_templates=2))
+        assert sorted(layers[0]) == [(a,) for a in self.UNIVERSE]
+        assert stats.n_nodes_evaluated == sum(map(len, layers))
 
     def test_predictor_prunes_children(self):
-        _, with_pred = identify_templates(self.UNIVERSE, self._eff,
-                                          TINY.scaled(qti_beam=2, qti_depth=3),
-                                          n_templates=2, use_predictor=True)
-        _, no_pred = identify_templates(self.UNIVERSE, self._eff,
-                                        TINY.scaled(qti_beam=2, qti_depth=3),
-                                        n_templates=2, use_predictor=False)
-        assert with_pred.n_nodes_evaluated < no_pred.n_nodes_evaluated
-        assert with_pred.n_nodes_predicted_only > 0
+        beta = 2
+        layers, stats = self._recorded(TINY.scaled(qti_beam=beta, qti_depth=3, n_templates=2))
+        # every child of each layer's beam not scored before is generated:
+        # either evaluated in the next layer or ranked out by the predictor
+        scored = {frozenset(c) for c in layers[0]}
+        generated = len(layers[0])
+        for layer in layers[:-1]:
+            beam = sorted(layer, key=lambda c: -self._score(c))[:beta]
+            children = {frozenset((*node, a)) for node in beam
+                        for a in self.UNIVERSE if a not in node} - scored
+            generated += len(children)
+            scored |= children
+        assert stats.n_nodes_evaluated == sum(map(len, layers))
+        assert stats.n_nodes_evaluated + stats.n_nodes_predicted_only == generated
+        assert stats.n_nodes_predicted_only > 0
+        assert all(len(layer) <= beta for layer in layers[1:])
 
     def test_cost_bound_matches_paper_formula(self):
         # (|attr| + Σ_{i=2}^{depth} β) · cost_p with the O2 predictor
         beta, depth = 2, 3
         _, stats = identify_templates(self.UNIVERSE, self._eff,
-                                      TINY.scaled(qti_beam=beta, qti_depth=depth),
-                                      n_templates=2, use_predictor=True)
+                                      TINY.scaled(qti_beam=beta, qti_depth=depth,
+                                                  n_templates=2))
         assert stats.n_nodes_evaluated <= len(self.UNIVERSE) + (depth - 1) * beta
 
     def test_returns_requested_count(self):
         combos, _ = identify_templates(self.UNIVERSE, self._eff,
-                                       TINY.scaled(qti_beam=1, qti_depth=2),
-                                       n_templates=4)
+                                       TINY.scaled(qti_beam=1, qti_depth=2,
+                                                   n_templates=4))
         assert len(combos) == 4
         assert len(set(map(tuple, combos))) == 4
 
@@ -227,14 +242,14 @@ class TestQTIPure:
                     for c in layer]
 
         combos, stats = identify_templates(self.UNIVERSE, eff,
-                                           TINY.scaled(qti_beam=1, qti_depth=2),
-                                           n_templates=1)
+                                           TINY.scaled(qti_beam=1, qti_depth=2,
+                                                       n_templates=1))
         assert combos == [("A", "F")] and stats.n_nodes_predicted_only == 4
 
     def test_depth_capped_by_universe(self):
         combos, _ = identify_templates(("A", "B"), self._eff,
-                                       TINY.scaled(qti_beam=1, qti_depth=5),
-                                       n_templates=2)
+                                       TINY.scaled(qti_beam=1, qti_depth=5,
+                                                   n_templates=2))
         assert all(len(c) <= 2 for c in combos)
 
 

@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.tpe import TPE, Problem, run_lockstep, run_tpe
+from repro.core.tpe import TPE, Problem, run_lockstep
+
+
+def _run_tpe(objective, shape, n_iters, *, seed=0, warm_start=None, n_startup=6):
+    """One TPE search: the one-problem case of ``run_lockstep``."""
+    return run_lockstep([Problem(objective, shape, n_iters, seed, warm_start, n_startup)])[0]
 
 
 def _planted_objective(shape, optimum, noise=0.0, seed=0):
@@ -52,7 +57,7 @@ class TestRunTPE:
         shape = (8, 8, 8)
         optimum = (3, 5, 1)
         f = _planted_objective(shape, optimum)
-        trials = run_tpe(f, shape, 60, seed=0)
+        trials = _run_tpe(f, shape, 60, seed=0)
         best_tpe = min(l for _, l in trials)
 
         rng = np.random.default_rng(0)
@@ -68,29 +73,29 @@ class TestRunTPE:
         f = _planted_objective(shape, optimum)
         near = [(tuple((o + d) % 10 for o in optimum), f(tuple((o + d) % 10 for o in optimum)))
                 for d in (0, 1)]
-        warm = run_tpe(f, shape, 15, seed=3, warm_start=near, n_startup=0)
-        cold = run_tpe(f, shape, 15, seed=3)
+        warm = _run_tpe(f, shape, 15, seed=3, warm_start=near, n_startup=0)
+        cold = _run_tpe(f, shape, 15, seed=3)
         assert min(l for _, l in warm) <= min(l for _, l in cold)
 
     def test_history_includes_warm_start(self):
         f = _planted_objective((3, 3), (0, 0))
         seed_obs = [((2, 2), 4.0)]
-        trials = run_tpe(f, (3, 3), 5, warm_start=seed_obs)
+        trials = _run_tpe(f, (3, 3), 5, warm_start=seed_obs)
         assert trials[0] == ((2, 2), 4.0)
         assert len(trials) == 6
 
     def test_nan_objective_recorded_as_inf(self):
-        trials = run_tpe(lambda cfg: float("nan"), (4,), 3, seed=0)
+        trials = _run_tpe(lambda cfg: float("nan"), (4,), 3, seed=0)
         assert all(l == float("inf") for _, l in trials)
 
     def test_deterministic(self):
         f = _planted_objective((5, 5), (1, 1))
-        t1 = run_tpe(f, (5, 5), 20, seed=9)
-        t2 = run_tpe(f, (5, 5), 20, seed=9)
+        t1 = _run_tpe(f, (5, 5), 20, seed=9)
+        t2 = _run_tpe(f, (5, 5), 20, seed=9)
         assert t1 == t2
 
     def test_single_option_dims(self):
-        trials = run_tpe(lambda cfg: 1.0, (1, 1, 3), 5, seed=0)
+        trials = _run_tpe(lambda cfg: 1.0, (1, 1, 3), 5, seed=0)
         assert all(c[:2] == (0, 0) for c, _ in trials)
 
 
@@ -126,7 +131,7 @@ class TestLockstep:
             alone = _sequential_tpe(p.objective, p.shape, p.n_iters, seed=p.seed,
                                     warm_start=p.warm_start, n_startup=p.n_startup)
             assert trials == alone
-            assert trials == run_tpe(p.objective, p.shape, p.n_iters, seed=p.seed,
+            assert trials == _run_tpe(p.objective, p.shape, p.n_iters, seed=p.seed,
                                      warm_start=p.warm_start, n_startup=p.n_startup)
         assert any(loss == float("inf") for _, loss in together[1])
 
