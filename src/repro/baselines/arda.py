@@ -48,7 +48,7 @@ def run_arda(ctx: DatasetContext, model_name: str, *, seed: int = 0) -> FeatAugO
     F = evaluator.matrix(tr, pool, base=False)
     X = np.hstack([F, rng.normal(0, 1, (F.shape[0], _N_NOISE))])
     y = evaluator.labels(tr)
-    rf = RandomForest(task=bundle.task, n_trees=12, max_depth=5, seed=seed).fit(X, y)
+    rf = RandomForest(task=bundle.task, n_trees=12, seed=seed).fit(X, y)
     imps = rf.feature_importances()
     feat_imp, noise_imp = imps[: len(pool)], imps[len(pool):]
     level = max(float(np.median(noise_imp)), 1e-12)

@@ -15,14 +15,20 @@ import numpy as np
 from repro.baselines.arda import direct_join_pool
 from repro.core.feataug import DatasetContext, FeatAugOutput
 
+_MAB_ITERS = 24  # arm pulls
+_HIDDEN, _LR = 16, 0.05  # Q-network width and SGD step
+_EPISODES, _STEPS = 3, 8
+_GAMMA = 0.5  # TD discount
+_EPS = 0.3  # ε-greedy exploration rate
 
-def _mab(pool, evaluator, n_features: int, iters: int, rng) -> list:
+
+def _mab(pool, evaluator, n_features: int) -> list:
     n = len(pool)
     counts = np.zeros(n)
     means = np.zeros(n)
     included: list[int] = []
     cur_loss = evaluator.valid_loss([])
-    for t in range(1, iters + 1):
+    for t in range(1, _MAB_ITERS + 1):
         avail = [i for i in range(n) if i not in included]
         if not avail or len(included) >= n_features:
             break
@@ -45,13 +51,12 @@ def _mab(pool, evaluator, n_features: int, iters: int, rng) -> list:
 class _QNet:
     """Q(s) -> per-action values; one hidden layer, SGD on TD error."""
 
-    def __init__(self, n: int, hidden: int = 16, lr: float = 0.05, seed: int = 0):
+    def __init__(self, n: int, seed: int):
         rng = np.random.default_rng(seed)
-        self.W1 = rng.normal(0, 0.3, (n, hidden))
-        self.b1 = np.zeros(hidden)
-        self.W2 = rng.normal(0, 0.3, (hidden, n))
+        self.W1 = rng.normal(0, 0.3, (n, _HIDDEN))
+        self.b1 = np.zeros(_HIDDEN)
+        self.W2 = rng.normal(0, 0.3, (_HIDDEN, n))
         self.b2 = np.zeros(n)
-        self.lr = lr
 
     def forward(self, s: np.ndarray):
         h = np.maximum(s @ self.W1 + self.b1, 0.0)
@@ -63,27 +68,26 @@ class _QNet:
         gW2 = np.outer(h, np.eye(len(q))[a] * err)
         dh = err * self.W2[:, a]
         dh[h <= 0] = 0.0
-        self.W2 -= self.lr * gW2
-        self.b2[a] -= self.lr * err
-        self.W1 -= self.lr * np.outer(s, dh)
-        self.b1 -= self.lr * dh
+        self.W2 -= _LR * gW2
+        self.b2[a] -= _LR * err
+        self.W1 -= _LR * np.outer(s, dh)
+        self.b1 -= _LR * dh
 
 
-def _dqn(pool, evaluator, n_features: int, rng, *, episodes: int = 3,
-         steps: int = 8, gamma: float = 0.5, eps: float = 0.3) -> list:
+def _dqn(pool, evaluator, n_features: int, rng) -> list:
     n = len(pool)
     qnet = _QNet(n, seed=int(rng.integers(0, 2**31)))
     best: tuple[float, list[int]] | None = None
-    for _ in range(episodes):
+    for _ in range(_EPISODES):
         included: list[int] = []
         cur_loss = evaluator.valid_loss([])
-        for _ in range(min(steps, n_features)):
+        for _ in range(min(_STEPS, n_features)):
             s = np.zeros(n)
             s[included] = 1.0
             avail = [i for i in range(n) if i not in included]
             if not avail:
                 break
-            if rng.random() < eps:
+            if rng.random() < _EPS:
                 a = int(rng.choice(avail))
             else:
                 q, _ = qnet.forward(s)
@@ -95,7 +99,7 @@ def _dqn(pool, evaluator, n_features: int, rng, *, episodes: int = 3,
             s2 = np.zeros(n)
             s2[trial] = 1.0
             q2, _ = qnet.forward(s2)
-            qnet.update(s, a, reward + gamma * float(q2.max()))
+            qnet.update(s, a, reward + _GAMMA * float(q2.max()))
             if reward > 0:
                 included, cur_loss = trial, loss
             if best is None or cur_loss < best[0]:
@@ -104,13 +108,13 @@ def _dqn(pool, evaluator, n_features: int, rng, *, episodes: int = 3,
 
 
 def run_autofeature(ctx: DatasetContext, model_name: str, *, mode: str = "MAB",
-                    seed: int = 0, iters: int = 24) -> FeatAugOutput:
+                    seed: int = 0) -> FeatAugOutput:
     budget = ctx.budget
     evaluator = ctx.evaluator(model_name, seed=seed)
     rng = np.random.default_rng(seed + 13)
     pool = direct_join_pool(ctx, prefix=f"af{mode.lower()}{seed}")
     if mode == "MAB":
-        idx = _mab(pool, evaluator, budget.n_features, iters, rng)
+        idx = _mab(pool, evaluator, budget.n_features)
     elif mode == "DQN":
         idx = _dqn(pool, evaluator, budget.n_features, rng)
     else:

@@ -64,7 +64,6 @@ class QueryExecutor:
         self.R.count()  # fill the cache: set-up's only Spark action
         self.R.createOrReplaceTempView(view)
         self.n_queries = 0
-        self.n_cache_hits = 0
         self._cache: OrderedDict[str, pd.DataFrame | Exception] = OrderedDict()
         self._inflight: dict[str, Future] = {}
 
@@ -78,7 +77,6 @@ class QueryExecutor:
     def run_sql(self, sql: str) -> pd.DataFrame:
         """Execute SQL text (memoised) and return the result as pandas."""
         if sql in self._cache:
-            self.n_cache_hits += 1
             self._cache.move_to_end(sql)
             out = self._cache[sql]
         else:

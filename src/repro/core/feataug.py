@@ -86,7 +86,7 @@ def run_feataug(ctx: DatasetContext, model_name: str, *, seed: int = 0,
     bundle, budget = ctx.bundle, ctx.budget
     evaluator = ctx.evaluator(model_name, seed=seed)
     proxy_fn = make_proxy(proxy, task=bundle.task,
-                          y_valid=evaluator.labels(evaluator.splits.valid), seed=seed)
+                          y_valid=evaluator.labels(evaluator.splits.valid))
     run_tag = next(_uid)
     universe = tuple(bundle.where_attrs)
 

@@ -110,18 +110,17 @@ def run_pools(searchers: list[PoolSearcher], problems: list[Problem]) -> list[li
 
 
 def generate_queries(searchers: list[PoolSearcher], budget: BudgetProfile, *,
-                     seeds: list[int], use_warmup: bool = True, top_m: int | None = None,
-                     proxy_warm: list | None = None
+                     seeds: list[int], use_warmup: bool = True, top_m: int,
+                     proxy_warm: list
                      ) -> tuple[list[tuple[FeatureFrame, float]], GenerationStats]:
-    """Search the template pools together; return each pool's top-m
+    """Search the template pools together; return each pool's ``top_m``
     (feature, real-loss) pairs, concatenated in pool order.
 
-    Pool ``i`` searches with ``seeds[i]``. ``proxy_warm[i]`` optionally seeds
-    its warm-up round's surrogate with (config, −proxy) observations
-    already collected for that pool by the QTI component's node evaluations.
+    Pool ``i`` searches with ``seeds[i]``. ``proxy_warm[i]``, when not
+    None, seeds its warm-up round's surrogate with (config, −proxy)
+    observations already collected for that pool by the QTI component's
+    node evaluations.
     """
-    top_m = top_m if top_m is not None else budget.queries_per_template
-    proxy_warm = proxy_warm or [None] * len(searchers)
 
     if use_warmup:
         # Round 1: maximise the proxy.

@@ -15,6 +15,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+#: quantile bins per column for MI (features and regression labels) and for
+#: the Chi2 selector's contingency tables
+N_BINS = 8
+
 
 def _bin_feature(x: np.ndarray, n_bins: int) -> np.ndarray:
     """Quantile-bin a float column; NaNs become their own bin id."""
@@ -29,12 +33,11 @@ def _bin_feature(x: np.ndarray, n_bins: int) -> np.ndarray:
     return out
 
 
-def mutual_information(x: np.ndarray, y: np.ndarray, *, task: str = "binary",
-                       n_bins: int = 8) -> float:
+def mutual_information(x: np.ndarray, y: np.ndarray, *, task: str = "binary") -> float:
     """I(X;Y) in bits from the joint histogram of binned X and (binned) Y."""
-    bx = _bin_feature(x, n_bins)
+    bx = _bin_feature(x, N_BINS)
     if task == "regression":
-        by = _bin_feature(np.asarray(y, dtype=float), n_bins)
+        by = _bin_feature(np.asarray(y, dtype=float), N_BINS)
     else:
         _, by = np.unique(np.asarray(y), return_inverse=True)
     n = bx.size
@@ -67,8 +70,7 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     return abs(rho) if np.isfinite(rho) else 0.0
 
 
-def make_proxy(name: str, *, task: str, y_valid: np.ndarray | None = None,
-               seed: int = 0):
+def make_proxy(name: str, *, task: str, y_valid: np.ndarray | None = None):
     """Build ``proxy(X_train, y_train[, X_valid]) -> score`` (higher=better).
 
     ``X_train``/``X_valid`` are ``DownstreamEvaluator.matrix`` outputs:
@@ -89,7 +91,7 @@ def make_proxy(name: str, *, task: str, y_valid: np.ndarray | None = None,
             raise ValueError("LR proxy needs y_valid")
 
         def _lr_proxy(X, y, Xv):
-            m = LogisticRegression(task=task, n_iter=80, seed=seed).fit(X, y)
+            m = LogisticRegression(task=task, n_iter=80).fit(X, y)
             return -task_loss(task, y_valid, m, Xv)
 
         return _lr_proxy

@@ -30,12 +30,14 @@ from repro.core.config import BudgetProfile
 from repro.core.template import one_hot
 
 
+_ALPHA = 0.5  # TemplatePredictor's ridge penalty
+
+
 class TemplatePredictor:
     """Ridge regression over one-hot combo encodings (optimization O2)."""
 
-    def __init__(self, universe: tuple[str, ...], alpha: float = 0.5):
+    def __init__(self, universe: tuple[str, ...]):
         self.universe = universe
-        self.alpha = alpha
         self._w: np.ndarray | None = None
 
     def fit(self, combos: list, scores: list[float]) -> "TemplatePredictor":
@@ -43,7 +45,7 @@ class TemplatePredictor:
         X = np.hstack([X, np.ones((X.shape[0], 1))])
         y = np.asarray(scores, dtype=float)
         d = X.shape[1]
-        reg = self.alpha * np.eye(d)
+        reg = _ALPHA * np.eye(d)
         reg[-1, -1] = 0.0
         self._w = np.linalg.solve(X.T @ X + reg, X.T @ y)
         return self

@@ -19,6 +19,7 @@ from repro.core.config import BENCH, SWEEP, BudgetProfile
 from repro.core.feataug import DatasetContext, run_feataug
 from repro.core.template import template_count
 from repro.datasets import ONE_TO_MANY, ONE_TO_ONE
+from repro.models import MODEL_NAMES
 from repro.models.metrics import metric_name
 from repro.selectors import NotApplicableError, select
 
@@ -35,8 +36,6 @@ FEATAUG_VARIANTS = {
     **{f"FeatAug({p})": {"proxy": p} for p in ("SC", "MI", "LR")},
 }
 
-_MODELS = ("LR", "XGB", "RF", "DeepFM")
-
 #: "tableN" -> (dataset generators, models, methods, default budget).
 #: One seeded repetition per cell (the paper averages 5; DESIGN.md §5).
 #: - III: Featuretools + 7 selectors + Random + FeatAug; AUC, or RMSE on
@@ -47,15 +46,15 @@ _MODELS = ("LR", "XGB", "RF", "DeepFM")
 #:   attribute; NoWU runs TPE on the real loss only.
 #: - VIII: the low-cost proxy drives both QTI and the warm-up round.
 GRIDS = {
-    "table3": (ONE_TO_MANY, _MODELS,
+    "table3": (ONE_TO_MANY, MODEL_NAMES,
                ("FT", "FT+LR", "FT+GBDT", "FT+MI", "FT+Chi2", "FT+Gini",
                 "FT+Forward", "FT+Backward", "Random", "FeatAug"), BENCH),
     "table6": (ONE_TO_ONE, ("LR", "XGB", "RF"),
                ("FT", "FT+LR", "FT+GBDT", "FT+MI", "FT+Chi2", "FT+Gini", "ARDA",
                 "AutoFeat-MAB", "AutoFeat-DQN", "Random", "FeatAug"), BENCH),
-    "table7": (ONE_TO_MANY, _MODELS,
+    "table7": (ONE_TO_MANY, MODEL_NAMES,
                ("FeatAug(NoQTI)", "FeatAug(NoWU)", "FeatAug(Full)"), SWEEP),
-    "table8": (ONE_TO_MANY, _MODELS,
+    "table8": (ONE_TO_MANY, MODEL_NAMES,
                ("FeatAug(SC)", "FeatAug(MI)", "FeatAug(LR)"), SWEEP),
 }
 

@@ -10,17 +10,20 @@ libraries are installed offline, so this package reimplements them:
 - :mod:`repro.models.gbdt` — second-order gradient boosting (XGB stand-in),
 - :mod:`repro.models.deepfm` — factorization machine + MLP with manual
   backprop,
-- :mod:`repro.models.metrics` — AUC / macro-F1 / RMSE / logloss.
+- :mod:`repro.models.metrics` — AUC / macro-F1 / RMSE.
 
 All models follow a scikit-style ``fit(X, y)`` / ``predict(X)`` /
-``predict_proba(X)`` API on dense ``numpy`` arrays and are deterministic in
-their ``seed`` argument.
+``predict_proba(X)`` API on dense ``numpy`` arrays. The paper treats each
+model as a fixed black box, so its settings are module constants; only the
+number of training rounds (LR steps, GBDT rounds, RF trees) differs between
+callers. RF and DeepFM draw at random and are deterministic in their
+``seed``; LR and GBDT draw nothing, so ``make_model`` gives them no seed.
 """
 from repro.models.deepfm import DeepFM
 from repro.models.forest import RandomForest
 from repro.models.gbdt import GBDT
 from repro.models.logistic import LogisticRegression
-from repro.models.metrics import auc_score, logloss, macro_f1, rmse
+from repro.models.metrics import auc_score, macro_f1, rmse
 
 MODEL_NAMES = ("LR", "XGB", "RF", "DeepFM")
 
@@ -33,9 +36,9 @@ def make_model(name: str, task: str, *, seed: int = 0):
     classifiers). "XGB" maps to our GBDT because xgboost is unavailable.
     """
     if name == "LR":
-        return LogisticRegression(task=task, seed=seed)
+        return LogisticRegression(task=task)
     if name == "XGB":
-        return GBDT(task=task, seed=seed)
+        return GBDT(task=task)
     if name == "RF":
         return RandomForest(task=task, seed=seed)
     if name == "DeepFM":
@@ -50,7 +53,6 @@ __all__ = [
     "MODEL_NAMES",
     "RandomForest",
     "auc_score",
-    "logloss",
     "macro_f1",
     "make_model",
     "rmse",

@@ -11,15 +11,14 @@ import numpy as np
 
 from repro.models.tree import RegressionTree
 
+_MAX_DEPTH = 5
+_FEATURE_FRAC = 0.6  # share of features each split considers
+
 
 class RandomForest:
-    def __init__(self, task: str = "binary", *, n_trees: int = 14, max_depth: int = 5,
-                 min_leaf: int = 4, feature_frac: float = 0.6, seed: int = 0):
+    def __init__(self, task: str = "binary", *, n_trees: int = 14, seed: int = 0):
         self.task = task
         self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.feature_frac = feature_frac
         self.seed = seed
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
@@ -40,11 +39,8 @@ class RandomForest:
         for key, t in targets:
             for b in range(self.n_trees):
                 idx = rng.integers(0, n, n)
-                tree = RegressionTree(
-                    max_depth=self.max_depth, min_leaf=self.min_leaf,
-                    feature_frac=self.feature_frac,
-                    seed=int(rng.integers(0, 2**31)),
-                )
+                tree = RegressionTree(max_depth=_MAX_DEPTH, feature_frac=_FEATURE_FRAC,
+                                      seed=int(rng.integers(0, 2**31)))
                 tree.fit(X[idx], t[idx])
                 self.trees_[key].append(tree)
                 self._gains += tree.gains_

@@ -12,27 +12,25 @@ import numpy as np
 
 from repro.models.tree import RegressionTree
 
+_MAX_DEPTH = 3
+_LEARNING_RATE = 0.3  # shrinkage on each tree's output
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -30, 30)))
 
 
 class GBDT:
-    def __init__(self, task: str = "binary", *, n_rounds: int = 30, max_depth: int = 3,
-                 learning_rate: float = 0.3, min_leaf: int = 4, reg_lambda: float = 1.0,
-                 seed: int = 0):
+    """Boosting over trees that see every feature, so training draws nothing
+    at random."""
+
+    def __init__(self, task: str = "binary", *, n_rounds: int = 30):
         self.task = task
         self.n_rounds = n_rounds
-        self.max_depth = max_depth
-        self.learning_rate = learning_rate
-        self.min_leaf = min_leaf
-        self.reg_lambda = reg_lambda
-        self.seed = seed
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GBDT":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y).ravel()
-        rng = np.random.default_rng(self.seed)
         n = X.shape[0]
         self._gains = np.zeros(X.shape[1])
         if self.task == "multiclass":
@@ -49,8 +47,8 @@ class GBDT:
                 for c in range(k):
                     g = P[:, c] - Y[:, c]
                     h = np.maximum(P[:, c] * (1 - P[:, c]), 1e-6)
-                    t = self._fit_tree(X, g, h, rng)
-                    F[:, c] += self.learning_rate * t.predict(X)
+                    t = self._fit_tree(X, g, h)
+                    F[:, c] += _LEARNING_RATE * t.predict(X)
                     round_trees.append(t)
                 self.trees_.append(round_trees)
         else:
@@ -70,16 +68,13 @@ class GBDT:
                     g, h = p - yb, np.maximum(p * (1 - p), 1e-6)
                 else:
                     g, h = F - yb, np.ones(n)
-                t = self._fit_tree(X, g, h, rng)
-                F += self.learning_rate * t.predict(X)
+                t = self._fit_tree(X, g, h)
+                F += _LEARNING_RATE * t.predict(X)
                 self.trees_.append(t)
         return self
 
-    def _fit_tree(self, X, g, h, rng) -> RegressionTree:
-        t = RegressionTree(max_depth=self.max_depth, min_leaf=self.min_leaf,
-                           reg_lambda=self.reg_lambda,
-                           seed=int(rng.integers(0, 2**31)))
-        t.fit(X, g, h)
+    def _fit_tree(self, X, g, h) -> RegressionTree:
+        t = RegressionTree(max_depth=_MAX_DEPTH).fit(X, g, h)
         self._gains += t.gains_
         return t
 
@@ -89,11 +84,11 @@ class GBDT:
             F = np.tile(self.base_, (X.shape[0], 1))
             for round_trees in self.trees_:
                 for c, t in enumerate(round_trees):
-                    F[:, c] += self.learning_rate * t.predict(X)
+                    F[:, c] += _LEARNING_RATE * t.predict(X)
             return F
         F = np.full(X.shape[0], self.base_)
         for t in self.trees_:
-            F += self.learning_rate * t.predict(X)
+            F += _LEARNING_RATE * t.predict(X)
         return F
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

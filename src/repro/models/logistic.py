@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+_L2 = 1e-3  # regularisation strength
+_STEP = 0.5  # gradient-descent step size on standardised inputs
+
 
 def _standardise(X: np.ndarray):
     mu = X.mean(axis=0)
@@ -25,19 +28,12 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 class LogisticRegression:
-    """Softmax regression (binary is the 2-class special case).
+    """Softmax regression (binary is the 2-class special case), trained by
+    ``n_iter`` full-batch steps. Training draws nothing at random."""
 
-    Parameters mirror the handful that matter: ``l2`` regularisation
-    strength, ``lr`` step size, ``n_iter`` full-batch steps.
-    """
-
-    def __init__(self, task: str = "binary", *, l2: float = 1e-3, lr: float = 0.5,
-                 n_iter: int = 200, seed: int = 0):
+    def __init__(self, task: str = "binary", *, n_iter: int = 200):
         self.task = task
-        self.l2 = l2
-        self.lr = lr
         self.n_iter = n_iter
-        self.seed = seed
         self.coef_: np.ndarray | None = None
 
     # -- classification ----------------------------------------------------
@@ -53,14 +49,14 @@ class LogisticRegression:
         for _ in range(self.n_iter):
             P = _softmax(Xb @ W)
             G = Xb.T @ (P - Y) / n
-            G[:-1] += self.l2 * W[:-1]
-            W -= self.lr * G
+            G[:-1] += _L2 * W[:-1]
+            W -= _STEP * G
         self.coef_ = W
 
     def _fit_regressor(self, X: np.ndarray, y: np.ndarray) -> None:
         n, d = X.shape
         Xb = np.hstack([X, np.ones((n, 1))])
-        reg = self.l2 * np.eye(d + 1)
+        reg = _L2 * np.eye(d + 1)
         reg[-1, -1] = 0.0
         self.coef_ = np.linalg.solve(Xb.T @ Xb / n + reg, Xb.T @ y / n).reshape(-1, 1)
 

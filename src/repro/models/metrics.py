@@ -52,12 +52,6 @@ def rmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.sqrt(np.mean((y_true - y_pred) ** 2)))
 
 
-def logloss(y_true: np.ndarray, p: np.ndarray, eps: float = 1e-12) -> float:
-    y_true = np.asarray(y_true, dtype=float).ravel()
-    p = np.clip(np.asarray(p, dtype=float).ravel(), eps, 1 - eps)
-    return float(-np.mean(y_true * np.log(p) + (1 - y_true) * np.log(1 - p)))
-
-
 def task_metric(task: str, y_true: np.ndarray, model, X: np.ndarray) -> float:
     """The paper's reported metric (higher-is-better except RMSE)."""
     if task == "binary":

@@ -15,6 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
+_MIN_LEAF = 4  # fewest rows on either side of a split
+_N_BINS = 32  # quantile bins per feature
+_REG_LAMBDA = 1.0  # L2 on leaf weights (the λ in −Σg/(Σh+λ))
+
 
 class _Node:
     __slots__ = ("feature", "bin", "threshold", "left", "right", "value")
@@ -36,12 +40,8 @@ class RegressionTree:
     the regression target (mean leaves / variance-reduction gain).
     """
 
-    def __init__(self, *, max_depth: int = 4, min_leaf: int = 5, n_bins: int = 32,
-                 reg_lambda: float = 1.0, feature_frac: float = 1.0, seed: int = 0):
+    def __init__(self, *, max_depth: int = 4, feature_frac: float = 1.0, seed: int = 0):
         self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.n_bins = n_bins
-        self.reg_lambda = reg_lambda
         self.feature_frac = feature_frac
         self.seed = seed
         self.root: _Node | None = None
@@ -64,7 +64,7 @@ class RegressionTree:
         # quantile binning, once per tree
         codes = np.empty((n, d), dtype=np.int16)
         edges: list[np.ndarray] = []
-        probs = np.linspace(0, 1, self.n_bins + 1)[1:-1]
+        probs = np.linspace(0, 1, _N_BINS + 1)[1:-1]
         Xf = np.nan_to_num(X, nan=0.0)
         for f in range(d):
             e = np.unique(np.quantile(Xf[:, f], probs))
@@ -75,17 +75,17 @@ class RegressionTree:
         return self
 
     def _leaf_value(self, g_sum: float, h_sum: float) -> float:
-        return -g_sum / (h_sum + self.reg_lambda)
+        return -g_sum / (h_sum + _REG_LAMBDA)
 
     def _build(self, codes: np.ndarray, g: np.ndarray, h: np.ndarray,
                idx: np.ndarray, depth: int) -> _Node:
         gs, hs = g[idx].sum(), h[idx].sum()
         node = _Node(self._leaf_value(gs, hs))
         n = idx.size
-        if depth >= self.max_depth or n < 2 * self.min_leaf:
+        if depth >= self.max_depth or n < 2 * _MIN_LEAF:
             return node
         d = codes.shape[1]
-        lam = self.reg_lambda
+        lam = _REG_LAMBDA
         parent = gs * gs / (hs + lam)
         feats = np.arange(d)
         if self.feature_frac < 1.0 and d > 1:
@@ -104,7 +104,7 @@ class RegressionTree:
             ccum = np.cumsum(cnt)[:-1]
             gcum = np.cumsum(gsum)[:-1]
             hcum = np.cumsum(hsum)[:-1]
-            ok = (ccum >= self.min_leaf) & (n - ccum >= self.min_leaf)
+            ok = (ccum >= _MIN_LEAF) & (n - ccum >= _MIN_LEAF)
             if not ok.any():
                 continue
             gain = (gcum**2 / (hcum + lam)

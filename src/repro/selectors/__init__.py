@@ -25,9 +25,9 @@ def select(method: str, pool, evaluator, n: int, *, seed: int = 0, budget):
     if method == "Gini":
         return gini_select(pool, evaluator, n)
     if method == "LR":
-        return lr_importance_select(pool, evaluator, n, seed=seed)
+        return lr_importance_select(pool, evaluator, n)
     if method == "GBDT":
-        return gbdt_importance_select(pool, evaluator, n, seed=seed)
+        return gbdt_importance_select(pool, evaluator, n)
     if method == "Forward":
         return forward_select(pool, evaluator, n, seed=seed, budget=budget)
     if method == "Backward":

@@ -10,7 +10,9 @@ import numpy as np
 
 from repro.core.evaluator import DownstreamEvaluator
 from repro.core.executor import FeatureFrame
-from repro.core.proxy import _bin_feature, mutual_information
+from repro.core.proxy import N_BINS, _bin_feature, mutual_information
+
+_N_THRESHOLDS = 16  # Gini split candidates: quantiles of the feature
 
 
 class NotApplicableError(ValueError):
@@ -33,9 +35,9 @@ def mi_select(pool, evaluator, n: int) -> list[FeatureFrame]:
                        lambda x, y: mutual_information(x, y, task=task))
 
 
-def chi2_statistic(x: np.ndarray, y: np.ndarray, n_bins: int = 8) -> float:
+def chi2_statistic(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson χ² of the (binned feature × class) contingency table."""
-    bx = _bin_feature(x, n_bins)
+    bx = _bin_feature(x, N_BINS)
     _, by = np.unique(y, return_inverse=True)
     ux = np.unique(bx)
     k = by.max() + 1
@@ -57,7 +59,7 @@ def chi2_select(pool, evaluator, n: int) -> list[FeatureFrame]:
     return _top_scored(pool, evaluator, n, chi2_statistic)
 
 
-def gini_gain(x: np.ndarray, y: np.ndarray, n_thresholds: int = 16) -> float:
+def gini_gain(x: np.ndarray, y: np.ndarray) -> float:
     """Best single-split Gini impurity decrease of feature x."""
     _, yi = np.unique(y, return_inverse=True)
     k = yi.max() + 1
@@ -73,7 +75,7 @@ def gini_gain(x: np.ndarray, y: np.ndarray, n_thresholds: int = 16) -> float:
     total = np.bincount(yi, minlength=k).astype(float)
     parent = gini(total)
     best = 0.0
-    for t in np.unique(np.quantile(x, np.linspace(0, 1, n_thresholds + 1)[1:-1])):
+    for t in np.unique(np.quantile(x, np.linspace(0, 1, _N_THRESHOLDS + 1)[1:-1])):
         m = x <= t
         nl = int(m.sum())
         if nl == 0 or nl == n:

@@ -18,15 +18,15 @@ def _top_by_importance(pool, imps: np.ndarray, n: int):
     return [pool[i] for i in order]
 
 
-def lr_importance_select(pool, evaluator, n: int, *, seed: int = 0):
+def lr_importance_select(pool, evaluator, n: int):
     tr = evaluator.splits.train
-    m = LogisticRegression(task=evaluator.splits.task, seed=seed).fit(
+    m = LogisticRegression(task=evaluator.splits.task).fit(
         evaluator.matrix(tr, pool), evaluator.labels(tr))
     return _top_by_importance(pool, m.feature_importances(), n)
 
 
-def gbdt_importance_select(pool, evaluator, n: int, *, seed: int = 0):
+def gbdt_importance_select(pool, evaluator, n: int):
     tr = evaluator.splits.train
-    m = GBDT(task=evaluator.splits.task, n_rounds=20, seed=seed).fit(
+    m = GBDT(task=evaluator.splits.task, n_rounds=20).fit(
         evaluator.matrix(tr, pool), evaluator.labels(tr))
     return _top_by_importance(pool, m.feature_importances(), n)

@@ -81,7 +81,7 @@ class TestARDA:
 class TestAutoFeature:
     @pytest.mark.parametrize("mode", ["MAB", "DQN"])
     def test_runs_and_improves(self, household_ctx, mode):
-        out = run_autofeature(household_ctx, "LR", mode=mode, seed=0, iters=12)
+        out = run_autofeature(household_ctx, "LR", mode=mode, seed=0)
         assert out.stats["method"] == f"AutoFeat-{mode}"
         base = household_ctx.evaluator("LR").evaluate([]).test_metric
         assert out.result.test_metric >= base - 0.02  # never much worse

@@ -73,10 +73,8 @@ class TestMemoisation:
         q = Query("MIN", "l_quantity", (), ("l_orderkey",))
         before_q = lineitem_executor.n_queries
         lineitem_executor.feature_frame(q, "a")
-        mid_hits = lineitem_executor.n_cache_hits
         lineitem_executor.feature_frame(q, "b")  # same SQL, new name
         assert lineitem_executor.n_queries == before_q + 1
-        assert lineitem_executor.n_cache_hits == mid_hits + 1
 
     def test_renamed_output_does_not_mutate_cache(self, lineitem_executor):
         q = Query("MAX", "l_quantity", (), ("l_orderkey",))

@@ -9,6 +9,8 @@ from repro.core.config import TINY
 from repro.core.generation import PoolSearcher, generate_queries
 from repro.core.proxy import make_proxy
 
+TOP_M = TINY.queries_per_template
+
 
 @pytest.fixture()
 def searcher(tmall_ctx):
@@ -40,7 +42,8 @@ class TestPoolSearcher:
 
 class TestGenerateQueries:
     def test_warmup_path(self, searcher):
-        pairs, stats = generate_queries([searcher], TINY, seeds=[0], use_warmup=True)
+        pairs, stats = generate_queries([searcher], TINY, seeds=[0], use_warmup=True,
+                                        top_m=TOP_M, proxy_warm=[None])
         assert 1 <= len(pairs) <= TINY.queries_per_template
         losses = [l for _, l in pairs]
         assert losses == sorted(losses)
@@ -52,7 +55,8 @@ class TestGenerateQueries:
         s = PoolSearcher(tmall_ctx.space(("category",)), tmall_ctx.executor,
                          tmall_ctx.evaluator("LR"), make_proxy("MI", task="binary"),
                          prefix="tnowu")
-        pairs, stats = generate_queries([s], TINY, seeds=[0], use_warmup=False)
+        pairs, stats = generate_queries([s], TINY, seeds=[0], use_warmup=False,
+                                        top_m=TOP_M, proxy_warm=[None])
         assert stats.n_proxy_evals == 0
         assert len(pairs) >= 1
 
@@ -61,13 +65,15 @@ class TestGenerateQueries:
             s = PoolSearcher(tmall_ctx.space(("brand",)), tmall_ctx.executor,
                              tmall_ctx.evaluator("LR"), make_proxy("MI", task="binary"),
                              prefix=prefix)
-            pairs, _ = generate_queries([s], TINY, seeds=[5])
+            pairs, _ = generate_queries([s], TINY, seeds=[5], top_m=TOP_M,
+                                        proxy_warm=[None])
             return [(f.sql, round(l, 12)) for f, l in pairs]
 
         assert run("d1") == run("d2")
 
     def test_top_m_respected(self, searcher):
-        pairs, _ = generate_queries([searcher], TINY, seeds=[1], top_m=1)
+        pairs, _ = generate_queries([searcher], TINY, seeds=[1], top_m=1,
+                                    proxy_warm=[None])
         assert len(pairs) == 1
 
 
@@ -85,11 +91,13 @@ class TestLockstepPools:
 
     def test_pools_together_equal_pools_alone(self, tmall_ctx):
         together = [self._searcher(tmall_ctx, c, f"lk{i}") for i, c in enumerate(self.COMBOS)]
-        pairs, stats = generate_queries(together, TINY, seeds=[3, 4])
+        pairs, stats = generate_queries(together, TINY, seeds=[3, 4], top_m=TOP_M,
+                                        proxy_warm=[None, None])
         alone = []
         for i, (c, seed) in enumerate(zip(self.COMBOS, (3, 4))):
             s = self._searcher(tmall_ctx, c, f"la{i}")
-            alone += generate_queries([s], TINY, seeds=[seed])[0]
+            alone += generate_queries([s], TINY, seeds=[seed], top_m=TOP_M,
+                                      proxy_warm=[None])[0]
         assert self._rows(pairs) == self._rows(alone)
         assert stats.n_failed_queries == 0
 
@@ -105,7 +113,8 @@ class TestLockstepPools:
             return dataclasses.replace(q, agg_attr="no_such_col") if cfg == first[0] else q
 
         monkeypatch.setattr(a.space, "decode", broken_decode)
-        pairs, stats = generate_queries([a, b], TINY, seeds=[7, 8])
+        pairs, stats = generate_queries([a, b], TINY, seeds=[7, 8], top_m=TOP_M,
+                                        proxy_warm=[None, None])
         assert stats.n_failed_queries == 1
         assert a.frame(first[0]) is None and a.real_loss(first[0]) == math.inf
         assert pairs and all(math.isfinite(loss) for _, loss in pairs)

@@ -5,7 +5,6 @@ import pytest
 from repro.models.metrics import (
     auc_score,
     higher_is_better,
-    logloss,
     macro_f1,
     metric_name,
     rmse,
@@ -63,14 +62,6 @@ class TestRMSE:
 
     def test_hand_computed(self):
         assert rmse([0.0, 0.0], [3.0, 4.0]) == pytest.approx(np.sqrt(12.5))
-
-
-class TestLogloss:
-    def test_confident_correct_is_small(self):
-        assert logloss([1, 0], [0.99, 0.01]) < 0.02
-
-    def test_clipping_no_inf(self):
-        assert np.isfinite(logloss([1], [0.0]))
 
 
 class TestTaskPlumbing:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.models import MODEL_NAMES, make_model
+from repro.models import MODEL_NAMES, deepfm, make_model
 from repro.models.forest import RandomForest
 from repro.models.gbdt import GBDT
 from repro.models.logistic import LogisticRegression
@@ -102,7 +102,7 @@ class TestRegressionTree:
         rng = np.random.default_rng(1)
         X = rng.uniform(0, 1, (400, 2))
         y = np.where(X[:, 0] > 0.5, 10.0, -10.0)
-        t = RegressionTree(max_depth=1, min_leaf=5).fit(X, y)
+        t = RegressionTree(max_depth=1).fit(X, y)
         assert t.root.feature == 0
         assert abs(t.root.threshold - 0.5) < 0.1
         pred = t.predict(X)
@@ -116,9 +116,9 @@ class TestRegressionTree:
         assert np.argmax(t.gains_) == 2
 
     def test_min_leaf_respected(self):
-        X = np.arange(8, dtype=float).reshape(-1, 1)
-        t = RegressionTree(max_depth=5, min_leaf=5).fit(X, np.arange(8, dtype=float))
-        assert t.root.left is None  # 8 rows < 2*min_leaf → no split
+        X = np.arange(7, dtype=float).reshape(-1, 1)
+        t = RegressionTree(max_depth=5).fit(X, np.arange(7, dtype=float))
+        assert t.root.left is None  # 7 rows < 2 * 4 (the minimum leaf) → no split
 
     def test_nan_inputs_do_not_crash(self):
         X = np.random.default_rng(3).normal(0, 1, (100, 2))
@@ -131,7 +131,7 @@ class TestRegressionTree:
         X = np.zeros((10, 1))
         g = np.full(10, 2.0)
         h = np.ones(10)
-        t = RegressionTree(max_depth=2, reg_lambda=1.0).fit(X, g, h)
+        t = RegressionTree(max_depth=2).fit(X, g, h)
         np.testing.assert_allclose(t.predict(X), -20.0 / 11.0)
 
 
@@ -160,15 +160,26 @@ class TestDeepFM:
         with pytest.raises(ValueError):
             make_model("DeepFM", "multiclass")
 
-    def test_learns_interaction(self):
+    def test_learns_interaction(self, monkeypatch):
         # XOR-ish product signal — linear part can't, FM/deep part can
         rng = np.random.default_rng(5)
         X = rng.normal(0, 1, (800, 4))
         y = (X[:, 0] * X[:, 1] > 0).astype(int)
-        m = make_model("DeepFM", "binary", seed=0)
-        m.epochs = 40
-        m.fit(X, y)
+        monkeypatch.setattr(deepfm, "_EPOCHS", 40)
+        m = make_model("DeepFM", "binary", seed=0).fit(X, y)
         assert auc_score(y, m.predict_proba(X)[:, 1]) > 0.75
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_only_rf_and_deepfm_depend_on_seed(name):
+    # LR and GBDT draw nothing at random: every GBDT tree sees all features
+    for task, data in (("binary", _binary_data), ("multiclass", _multi_data),
+                       ("regression", _reg_data)):
+        if name == "DeepFM" and task == "multiclass":
+            continue
+        X, y = data(n=200)
+        p0, p7 = (make_model(name, task, seed=s).fit(X, y).predict(X) for s in (0, 7))
+        assert np.array_equal(p0, p7) == (name in ("LR", "XGB")), task
 
 
 def test_make_model_unknown_raises():

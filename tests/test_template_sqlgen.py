@@ -258,6 +258,6 @@ class TestTemplatePredictor:
         u = ("A", "B", "C")
         combos = [("A",), ("B",), ("C",), ("A", "B")]
         scores = [3.0, 1.0, 0.5, 4.0]
-        p = TemplatePredictor(u, alpha=0.01).fit(combos, scores)
+        p = TemplatePredictor(u).fit(combos, scores)
         pred = p.predict([("A", "C"), ("B", "C")])
         assert pred[0] > pred[1]  # A-containing combo predicted stronger
