@@ -1,5 +1,8 @@
 """Baselines from the paper's §VII-A3.
 
+Each returns the features it chooses; the experiment harness trains and
+scores the downstream model on them.
+
 - :mod:`repro.baselines.featuretools_lite` — Featuretools-style exhaustive
   predicate-free aggregation features ("FT"),
 - :mod:`repro.baselines.random_search` — the "Random" baseline (random
@@ -9,9 +12,10 @@
 - :mod:`repro.baselines.autofeature` — AutoFeature's MAB / DQN augmentation
   (one-to-one tables).
 """
-from repro.baselines.arda import run_arda
-from repro.baselines.autofeature import run_autofeature
+from repro.baselines.arda import arda_features
+from repro.baselines.autofeature import autofeature_dqn, autofeature_mab
 from repro.baselines.featuretools_lite import featuretools_features
-from repro.baselines.random_search import run_random
+from repro.baselines.random_search import random_features
 
-__all__ = ["featuretools_features", "run_arda", "run_autofeature", "run_random"]
+__all__ = ["arda_features", "autofeature_dqn", "autofeature_mab",
+           "featuretools_features", "random_features"]

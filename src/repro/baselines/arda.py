@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.evaluator import DownstreamEvaluator
 from repro.core.executor import FeatureFrame
-from repro.core.feataug import DatasetContext, FeatAugOutput
+from repro.core.feataug import DatasetContext
 from repro.models.forest import RandomForest
 
 #: noise probes injected next to the real candidates, and the multiples of
@@ -21,26 +22,24 @@ _THRESHOLDS = (0.5, 1.0, 2.0)
 
 
 def direct_join_pool(ctx: DatasetContext, prefix: str) -> list[FeatureFrame]:
-    """Each non-key relevant-table column as a directly-joinable feature."""
+    """Each non-key relevant-table column as a directly-joinable feature
+    (the one-to-one relevant tables have numeric columns only)."""
     Rp = ctx.executor.R.toPandas()
     keys = list(ctx.bundle.keys)
     pool = []
     for c in Rp.columns:
         if c in keys:
             continue
-        col = Rp[[*keys, c]].copy()
-        if col[c].dtype == object:  # categorical → frequency encoding
-            col[c] = col[c].map(col[c].value_counts()).astype(float)
         name = f"{prefix}_{c}"
         pool.append(FeatureFrame(name=name, keys=ctx.bundle.keys,
-                                 frame=col.rename(columns={c: name}),
+                                 frame=Rp[[*keys, c]].rename(columns={c: name}),
                                  sql=f"direct join {c}"))
     return pool
 
 
-def run_arda(ctx: DatasetContext, model_name: str, *, seed: int = 0) -> FeatAugOutput:
+def arda_features(ctx: DatasetContext, evaluator: DownstreamEvaluator, *,
+                  seed: int) -> list[FeatureFrame]:
     bundle, budget = ctx.bundle, ctx.budget
-    evaluator = ctx.evaluator(model_name, seed=seed)
     rng = np.random.default_rng(seed + 31)
     pool = direct_join_pool(ctx, prefix=f"arda{seed}")
 
@@ -61,11 +60,7 @@ def run_arda(ctx: DatasetContext, model_name: str, *, seed: int = 0) -> FeatAugO
             continue
         loss = evaluator.valid_loss(keep)
         if best is None or loss < best[0]:
-            best = (loss, keep, tau)
+            best = (loss, keep)
     if best is None:  # nothing beats noise — fall back to top-n by importance
-        keep = [pool[i] for i in np.argsort(-feat_imp)[: budget.n_features]]
-        best = (evaluator.valid_loss(keep), keep, 0.0)
-
-    result = evaluator.evaluate(best[1])
-    return FeatAugOutput(result=result, features=best[1], templates=[],
-                         stats={"method": "ARDA", "tau": best[2]})
+        return [pool[i] for i in np.argsort(-feat_imp)[: budget.n_features]]
+    return best[1]

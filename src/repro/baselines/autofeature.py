@@ -13,7 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.arda import direct_join_pool
-from repro.core.feataug import DatasetContext, FeatAugOutput
+from repro.core.evaluator import DownstreamEvaluator
+from repro.core.executor import FeatureFrame
+from repro.core.feataug import DatasetContext
 
 _MAB_ITERS = 24  # arm pulls
 _HIDDEN, _LR = 16, 0.05  # Q-network width and SGD step
@@ -107,19 +109,14 @@ def _dqn(pool, evaluator, n_features: int, rng) -> list:
     return best[1] if best else []
 
 
-def run_autofeature(ctx: DatasetContext, model_name: str, *, mode: str = "MAB",
-                    seed: int = 0) -> FeatAugOutput:
-    budget = ctx.budget
-    evaluator = ctx.evaluator(model_name, seed=seed)
+def autofeature_mab(ctx: DatasetContext, evaluator: DownstreamEvaluator, *,
+                    seed: int) -> list[FeatureFrame]:
+    pool = direct_join_pool(ctx, prefix=f"afmab{seed}")
+    return [pool[i] for i in _mab(pool, evaluator, ctx.budget.n_features)]
+
+
+def autofeature_dqn(ctx: DatasetContext, evaluator: DownstreamEvaluator, *,
+                    seed: int) -> list[FeatureFrame]:
+    pool = direct_join_pool(ctx, prefix=f"afdqn{seed}")
     rng = np.random.default_rng(seed + 13)
-    pool = direct_join_pool(ctx, prefix=f"af{mode.lower()}{seed}")
-    if mode == "MAB":
-        idx = _mab(pool, evaluator, budget.n_features)
-    elif mode == "DQN":
-        idx = _dqn(pool, evaluator, budget.n_features, rng)
-    else:
-        raise ValueError(f"unknown AutoFeature mode {mode!r}")
-    feats = [pool[i] for i in idx]
-    result = evaluator.evaluate(feats)
-    return FeatAugOutput(result=result, features=feats, templates=[],
-                         stats={"method": f"AutoFeat-{mode}", "n_selected": len(feats)})
+    return [pool[i] for i in _dqn(pool, evaluator, ctx.budget.n_features, rng)]

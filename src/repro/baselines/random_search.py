@@ -8,33 +8,37 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.feataug import DatasetContext, FeatAugOutput
-from repro.core.generation import PoolSearcher
+from repro.core.executor import QUERY_ERRORS, FeatureFrame
+from repro.core.feataug import DatasetContext
 
 
-def run_random(ctx: DatasetContext, model_name: str, *, seed: int = 0) -> FeatAugOutput:
+def random_features(ctx: DatasetContext, *, seed: int) -> list[FeatureFrame]:
+    """The distinct queries that ran among ``queries_per_template`` random
+    pool queries from each of ``n_templates`` random templates (at most
+    ``n_features``)."""
     bundle, budget = ctx.bundle, ctx.budget
     rng = np.random.default_rng(seed + 77)
-    evaluator = ctx.evaluator(model_name, seed=seed)
     universe = tuple(bundle.where_attrs)
     max_size = min(budget.qti_depth, len(universe))
 
-    feats = []
-    seen_sql: set[str] = set()
-    combos: list[tuple[str, ...]] = []
-    for t in range(budget.n_templates):
+    queries = []
+    for _ in range(budget.n_templates):
         size = int(rng.integers(1, max_size + 1))
         combo = tuple(universe[i] for i in sorted(
             rng.choice(len(universe), size=size, replace=False)))
-        combos.append(combo)
-        searcher = PoolSearcher(ctx.space(combo), ctx.executor, evaluator,
-                                proxy_fn=None, prefix=f"rnd{seed}t{t}")
-        for _ in range(budget.queries_per_template):
-            f = searcher.frame(searcher.space.sample(rng))
-            if f is not None and f.sql not in seen_sql:
-                seen_sql.add(f.sql)
-                feats.append(f)
+        space = ctx.space(combo)
+        queries += [space.decode(space.sample(rng))
+                    for _ in range(budget.queries_per_template)]
 
-    result = evaluator.evaluate(feats[: budget.n_features])
-    return FeatAugOutput(result=result, features=feats, templates=combos,
-                         stats={"method": "Random"})
+    ctx.executor.prefetch(queries)
+    feats: list[FeatureFrame] = []
+    seen_sql: set[str] = set()
+    for i, q in enumerate(queries):
+        try:
+            f = ctx.executor.feature_frame(q, f"rnd{seed}_{i}")
+        except QUERY_ERRORS:
+            continue
+        if f.sql not in seen_sql:
+            seen_sql.add(f.sql)
+            feats.append(f)
+    return feats

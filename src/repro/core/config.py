@@ -3,8 +3,9 @@
 The paper's budgets (200 warm-up proxy iterations, top-50 real-evaluated,
 40 real TPE iterations, 8 templates x 5 queries, 5 repetitions on a 32-vCPU
 box) are scaled down ~8x so the full table grid fits a single-node 3-hour
-reproduction; every knob is overridable. DESIGN.md §5 documents the
-substitution.
+reproduction; every knob here is overridable (the Forward/Backward
+selectors' caps are constants in ``repro.selectors.wrappers``). DESIGN.md §5
+documents the substitution.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class BudgetProfile:
-    """All iteration counts / caps used by FeatAug and the baselines."""
+    """The iteration counts and caps FeatAug and the baselines read."""
 
     # -- final feature budget (paper: 8 x 5 = 40) --------------------------
     n_templates: int = 4
@@ -32,10 +33,6 @@ class BudgetProfile:
     # -- search-space discretisation ---------------------------------------
     cat_domain_cap: int = 12   # top-k categorical values per attribute
     grid_size: int = 9         # quantile grid points per numeric attribute
-
-    # -- wrapper selectors (Forward/Backward) -------------------------------
-    selector_pool_cap: int = 24   # MI pre-screen cap before wrapper search
-    selector_sample_cap: int = 6  # candidate sample per greedy step
 
     @property
     def n_features(self) -> int:
@@ -72,6 +69,4 @@ TINY = BudgetProfile(
     qti_samples=3,
     cat_domain_cap=6,
     grid_size=5,
-    selector_pool_cap=10,
-    selector_sample_cap=4,
 )

@@ -87,7 +87,9 @@ class QueryExecutor:
             if len(self._cache) > _CACHE_CAP:
                 self._cache.popitem(last=False)
         if isinstance(out, Exception):
-            raise out
+            # a bare re-raise would append this call's frames to the stored
+            # exception's traceback on every memo hit
+            raise out.with_traceback(None)
         return out
 
     def prefetch(self, queries: list[Query]) -> None:

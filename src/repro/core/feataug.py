@@ -54,9 +54,8 @@ class DatasetContext:
                           tuple(combo), self.bundle.keys)
         return QuerySpace(t, self.domains)
 
-    def evaluator(self, model_name: str, *, seed: int | None = None) -> DownstreamEvaluator:
-        return DownstreamEvaluator(self.splits, model_name,
-                                   seed=self.seed if seed is None else seed)
+    def evaluator(self, model_name: str, *, seed: int) -> DownstreamEvaluator:
+        return DownstreamEvaluator(self.splits, model_name, seed=seed)
 
     def close(self) -> None:
         self.executor.unpersist()

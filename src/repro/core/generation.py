@@ -39,7 +39,6 @@ from repro.core.tpe import Problem, Trial, run_lockstep
 class GenerationStats:
     n_proxy_evals: int = 0
     n_real_evals: int = 0
-    n_failed_queries: int = 0
 
 
 class PoolSearcher:
@@ -110,7 +109,7 @@ def run_pools(searchers: list[PoolSearcher], problems: list[Problem]) -> list[li
 
 
 def generate_queries(searchers: list[PoolSearcher], budget: BudgetProfile, *,
-                     seeds: list[int], use_warmup: bool = True, top_m: int,
+                     seeds: list[int], use_warmup: bool, top_m: int,
                      proxy_warm: list
                      ) -> tuple[list[tuple[FeatureFrame, float]], GenerationStats]:
     """Search the template pools together; return each pool's ``top_m``
@@ -146,8 +145,7 @@ def generate_queries(searchers: list[PoolSearcher], budget: BudgetProfile, *,
             for s, seed in zip(searchers, seeds)])
 
     stats = GenerationStats(n_proxy_evals=sum(s.n_proxy for s in searchers),
-                            n_real_evals=sum(s.n_real for s in searchers),
-                            n_failed_queries=sum(s.n_failed for s in searchers))
+                            n_real_evals=sum(s.n_real for s in searchers))
 
     # Per pool, rank its real-evaluated configs (deduped, failures dropped)
     # by validation loss.

@@ -14,14 +14,17 @@ from pathlib import Path
 
 import pandas as pd
 
-from repro.baselines import featuretools_features, run_arda, run_autofeature, run_random
+from repro.baselines import (arda_features, autofeature_dqn, autofeature_mab,
+                             featuretools_features, random_features)
 from repro.core.config import BENCH, SWEEP, BudgetProfile
 from repro.core.feataug import DatasetContext, run_feataug
 from repro.core.template import template_count
 from repro.datasets import ONE_TO_MANY, ONE_TO_ONE
 from repro.models import MODEL_NAMES
 from repro.models.metrics import metric_name
-from repro.selectors import NotApplicableError, select
+from repro.selectors import (NotApplicableError, backward_select, chi2_select, forward_select,
+                             gbdt_importance_select, gini_select, lr_importance_select,
+                             mi_select)
 
 #: default data scale for benches — R tables ~18–22k rows, D ~1–1.5k rows
 DEFAULT_SCALE = float(os.environ.get("REPRO_SCALE", "0.6"))
@@ -34,6 +37,31 @@ FEATAUG_VARIANTS = {
     "FeatAug(NoQTI)": {"use_qti": False},
     "FeatAug(NoWU)": {"use_warmup": False},
     **{f"FeatAug({p})": {"proxy": p} for p in ("SC", "MI", "LR")},
+}
+
+
+def _ft(select):
+    """``FT+<selector>``: ``select`` over the Featuretools pool."""
+    return lambda ctx, pool, ev, seed: select(pool, ev, ctx.budget.n_features)
+
+
+#: every other method: name -> ``features(ctx, Featuretools pool, the cell's
+#: evaluator, seed)``, the features ``run_method`` evaluates
+METHODS = {
+    "FT": lambda ctx, pool, ev, seed: pool[: ctx.budget.n_features],
+    "FT+LR": _ft(lr_importance_select),
+    "FT+GBDT": _ft(gbdt_importance_select),
+    "FT+MI": _ft(mi_select),
+    "FT+Chi2": _ft(chi2_select),
+    "FT+Gini": _ft(gini_select),
+    "FT+Forward": lambda ctx, pool, ev, seed: forward_select(
+        pool, ev, ctx.budget.n_features, seed=seed),
+    "FT+Backward": lambda ctx, pool, ev, seed: backward_select(
+        pool, ev, ctx.budget.n_features, seed=seed),
+    "Random": lambda ctx, pool, ev, seed: random_features(ctx, seed=seed),
+    "ARDA": lambda ctx, pool, ev, seed: arda_features(ctx, ev, seed=seed),
+    "AutoFeat-MAB": lambda ctx, pool, ev, seed: autofeature_mab(ctx, ev, seed=seed),
+    "AutoFeat-DQN": lambda ctx, pool, ev, seed: autofeature_dqn(ctx, ev, seed=seed),
 }
 
 #: "tableN" -> (dataset generators, models, methods, default budget).
@@ -111,39 +139,30 @@ def descriptor_tables(spark, gens: dict, *, scale: float = DEFAULT_SCALE
 
 
 def run_method(method: str, ctx: DatasetContext, pool, model: str, *,
-               seed: int = 0) -> dict:
-    """Run one method of any table grid for one (dataset, model) scenario.
+               seed: int) -> dict:
+    """Run one method of any table grid for one (dataset, model) scenario:
+    a FeatAug search, or ``METHODS[method]``'s features scored by one
+    evaluation.
 
     ``pool`` is the Featuretools feature pool, read only by the ``FT*``
     methods. Returns {method, dataset, model, metric, value, seconds};
     ``value`` is NaN when the selector is undefined for the task (paper's
     "-").
     """
-    budget = ctx.budget
     t0 = time.time()
     value = float("nan")
-    try:
-        if method == "FT":
-            value = ctx.evaluator(model).evaluate(pool[: budget.n_features]).test_metric
-        elif method.startswith("FT+"):
-            ev = ctx.evaluator(model)
-            chosen = select(method[3:], pool, ev, budget.n_features,
-                            seed=seed, budget=budget)
-            value = ev.evaluate(chosen).test_metric
-        elif method == "Random":
-            value = run_random(ctx, model, seed=seed).result.test_metric
-        elif method == "ARDA":
-            value = run_arda(ctx, model, seed=seed).result.test_metric
-        elif method.startswith("AutoFeat-"):
-            value = run_autofeature(ctx, model, mode=method.split("-")[1],
-                                    seed=seed).result.test_metric
-        elif method in FEATAUG_VARIANTS:
-            value = run_feataug(ctx, model, seed=seed,
-                                **FEATAUG_VARIANTS[method]).result.test_metric
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    except NotApplicableError:
-        pass  # Chi2 / Gini on regression — paper reports "-"
+    features = METHODS.get(method)
+    if features is not None:
+        evaluator = ctx.evaluator(model, seed=seed)
+        try:
+            value = evaluator.evaluate(features(ctx, pool, evaluator, seed)).test_metric
+        except NotApplicableError:
+            pass  # Chi2 / Gini on regression — paper reports "-"
+    elif method in FEATAUG_VARIANTS:
+        value = run_feataug(ctx, model, seed=seed,
+                            **FEATAUG_VARIANTS[method]).result.test_metric
+    else:
+        raise ValueError(f"unknown method {method!r}")
     return {
         "dataset": ctx.bundle.name,
         "model": model,

@@ -40,7 +40,7 @@ class RegressionTree:
     the regression target (mean leaves / variance-reduction gain).
     """
 
-    def __init__(self, *, max_depth: int = 4, feature_frac: float = 1.0, seed: int = 0):
+    def __init__(self, *, max_depth: int, feature_frac: float = 1.0, seed: int = 0):
         self.max_depth = max_depth
         self.feature_frac = feature_frac
         self.seed = seed

@@ -4,10 +4,11 @@ import pandas as pd
 import pytest
 
 from repro.baselines import (
+    arda_features,
+    autofeature_dqn,
+    autofeature_mab,
     featuretools_features,
-    run_arda,
-    run_autofeature,
-    run_random,
+    random_features,
 )
 from repro.baselines.featuretools_lite import ft_name
 
@@ -50,42 +51,36 @@ class TestFeaturetoolsLite:
 
 class TestRandom:
     def test_runs_and_respects_budget(self, tmall_ctx):
-        out = run_random(tmall_ctx, "LR", seed=0)
-        assert 1 <= len(out.features) <= tmall_ctx.budget.n_features * 2
-        assert len(out.templates) == tmall_ctx.budget.n_templates
-        assert 0.0 <= out.result.test_metric <= 1.0
+        feats = random_features(tmall_ctx, seed=0)
+        assert 1 <= len(feats) <= tmall_ctx.budget.n_features
+        assert len({f.sql for f in feats}) == len(feats)
+        metric = tmall_ctx.evaluator("LR", seed=0).evaluate(feats).test_metric
+        assert 0.0 <= metric <= 1.0
 
     def test_seed_changes_queries(self, tmall_ctx):
-        a = run_random(tmall_ctx, "LR", seed=0)
-        b = run_random(tmall_ctx, "LR", seed=1)
-        assert [f.sql for f in a.features] != [f.sql for f in b.features]
+        a = random_features(tmall_ctx, seed=0)
+        b = random_features(tmall_ctx, seed=1)
+        assert [f.sql for f in a] != [f.sql for f in b]
 
 
 class TestARDA:
     def test_selects_relevant_columns(self, household_ctx):
-        out = run_arda(household_ctx, "LR", seed=0)
-        assert 1 <= len(out.features) <= household_ctx.budget.n_features
+        ev = household_ctx.evaluator("LR", seed=0)
+        feats = arda_features(household_ctx, ev, seed=0)
+        assert 1 <= len(feats) <= household_ctx.budget.n_features
         # the planted poverty drivers should clear the noise bar
-        names = " ".join(f.name for f in out.features)
+        names = " ".join(f.name for f in feats)
         assert ("education_years" in names or "monthly_rent" in names
                 or "overcrowding" in names)
-        base = household_ctx.evaluator("LR").evaluate([]).test_metric
-        assert out.result.test_metric > base
-
-    def test_stats_record_threshold(self, household_ctx):
-        out = run_arda(household_ctx, "LR", seed=0)
-        assert out.stats["method"] == "ARDA"
-        assert "tau" in out.stats
+        assert ev.evaluate(feats).test_metric > ev.evaluate([]).test_metric
 
 
 class TestAutoFeature:
     @pytest.mark.parametrize("mode", ["MAB", "DQN"])
     def test_runs_and_improves(self, household_ctx, mode):
-        out = run_autofeature(household_ctx, "LR", mode=mode, seed=0)
-        assert out.stats["method"] == f"AutoFeat-{mode}"
-        base = household_ctx.evaluator("LR").evaluate([]).test_metric
-        assert out.result.test_metric >= base - 0.02  # never much worse
-
-    def test_unknown_mode_raises(self, household_ctx):
-        with pytest.raises(ValueError):
-            run_autofeature(household_ctx, "LR", mode="PPO")
+        ev = household_ctx.evaluator("LR", seed=0)
+        search = {"MAB": autofeature_mab, "DQN": autofeature_dqn}[mode]
+        feats = search(household_ctx, ev, seed=0)
+        assert len(feats) <= household_ctx.budget.n_features
+        base = ev.evaluate([]).test_metric
+        assert ev.evaluate(feats).test_metric >= base - 0.02  # never much worse

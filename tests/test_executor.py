@@ -1,9 +1,11 @@
 """QueryExecutor: Catalyst execution, memoisation, prefetch rounds;
 merge_features: Definition 3."""
+import traceback
+
 import pandas as pd
 import pytest
 
-from repro.core.executor import FeatureFrame, QueryExecutor, merge_features
+from repro.core.executor import QUERY_ERRORS, FeatureFrame, QueryExecutor, merge_features
 from repro.core.space import Predicate, Query
 from repro.core.sqlgen import build_sql
 from repro.core.template import PAPER_AGGS
@@ -147,6 +149,18 @@ class TestPrefetch:
             with pytest.raises(Exception, match="no_such_col"):
                 ex.feature_frame(bad, "bad")
         assert len(sent) == 1
+
+    def test_memoised_failure_traceback_does_not_grow(self, lineitem_executor):
+        ex = lineitem_executor
+        sql = build_sql(Query("MAX", "no_such_col", (), ("l_orderkey",)), ex.view)
+        before, depths = ex.n_queries, []
+        for _ in range(3):
+            try:
+                ex.run_sql(sql)
+            except QUERY_ERRORS as e:
+                depths.append(len(traceback.extract_tb(e.__traceback__)))
+        assert len(depths) == 3 and len(set(depths)) == 1
+        assert ex.n_queries == before + 1
 
 
 class TestAugment:

@@ -54,6 +54,19 @@ class TestDescriptorTables:
         assert (t5["n_T"] == 2 ** t5["n_attr"]).all()
 
 
+class TestMethodNames:
+    """Checked without Spark, before any grid spends hours reaching a cell."""
+
+    @pytest.mark.parametrize("table", harness.GRIDS)
+    def test_every_grid_method_is_known(self, table):
+        methods = harness.GRIDS[table][2]
+        assert set(methods) <= harness.METHODS.keys() | harness.FEATAUG_VARIANTS.keys()
+
+    def test_unknown_method_raises(self):
+        with pytest.raises(ValueError, match=r"FT\+Lasso"):
+            harness.run_method("FT+Lasso", None, None, "LR", seed=0)
+
+
 class TestMicroGrids:
     """One dataset × one model micro-runs of each table harness."""
 

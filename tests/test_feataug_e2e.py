@@ -34,7 +34,7 @@ class TestFullRun:
         assert all(set(t) <= set(tmall_ctx.bundle.where_attrs) for t in full.templates)
 
     def test_beats_base_features(self, tmall_ctx, full):
-        base = tmall_ctx.evaluator("LR").evaluate([]).test_metric
+        base = tmall_ctx.evaluator("LR", seed=0).evaluate([]).test_metric
         assert full.result.test_metric > base
 
     def test_stats_recorded(self, full):
