@@ -1,11 +1,14 @@
 """Catalyst execution of generated queries + training-table augmentation.
 
-The relevant table is cached once, as one partition, under a temp view;
-the count that fills that cache is set-up's only Spark action. Every
-candidate query in the search loop is one ``spark.sql`` round-trip whose
-generated WHERE clause Catalyst pushes below the aggregation. Results (small
-per-key frames) are collected to pandas for the driver-side model training,
-and memoised by SQL text — TPE frequently revisits configurations.
+The relevant table is stored once, as one partition, by an eager local
+checkpoint under a temp view; the job that fills it is set-up's only Spark
+action. Its plan is a ``LogicalRDD`` over the stored blocks, so no query
+carries R's source plan (for a pandas-built R, a ``LocalRelation`` holding
+every row). Every candidate query in the search loop is one ``spark.sql``
+round-trip whose generated WHERE clause Catalyst pushes below the
+aggregation. Results (small per-key frames) are collected to pandas for the
+driver-side model training, and memoised by SQL text — TPE frequently
+revisits configurations.
 
 Each query is a single-task job whose cost is mostly fixed overhead, so the
 search hands the executor a whole lockstep round of candidates at once:
@@ -52,16 +55,15 @@ class FeatureFrame:
 
 
 class QueryExecutor:
-    """Runs generated predicate-aware SQL over a cached relevant table."""
+    """Runs generated predicate-aware SQL over a checkpointed relevant table."""
 
     def __init__(self, spark: SparkSession, R: DataFrame, view: str):
         self.spark = spark
         self.view = view
-        # One cached partition: each generated query is one small task, so
+        # One stored partition: each generated query is one small task, so
         # per-task overhead, not scan width, bounds the search loop. The
         # session builder keeps shuffle partitions low for the same reason.
-        self.R = R.coalesce(1).cache()
-        self.R.count()  # fill the cache: set-up's only Spark action
+        self.R = R.coalesce(1).localCheckpoint()
         self.R.createOrReplaceTempView(view)
         self.n_queries = 0
         self._cache: OrderedDict[str, pd.DataFrame | Exception] = OrderedDict()
@@ -117,8 +119,10 @@ class QueryExecutor:
         return FeatureFrame(name=name, keys=q.keys, frame=pdf, sql=sql)
 
     def unpersist(self) -> None:
-        self.R.unpersist()
+        """Drop the view and free the checkpoint's blocks, which
+        ``DataFrame.unpersist`` leaves in place."""
         self.spark.catalog.dropTempView(self.view)
+        self.R._jdf.queryExecution().analyzed().rdd().unpersist(True)
 
 
 def merge_features(base: pd.DataFrame, feats: list[FeatureFrame]) -> pd.DataFrame:

@@ -1,7 +1,7 @@
 """The FEATAUG framework end to end (Figure 2).
 
 ``DatasetContext`` prepares the shared, method-independent state for one
-dataset (cached relevant-table view, profiled WHERE-attribute domains,
+dataset (checkpointed relevant-table view, profiled WHERE-attribute domains,
 train/valid/test splits); ``run_feataug`` then executes the two components:
 
 1. Query Template Identification (optional — the NoQTI ablation replaces it
@@ -37,7 +37,7 @@ class DatasetContext:
     """Method-independent per-dataset state, shared across methods/models."""
 
     def __init__(self, spark, bundle: DatasetBundle, budget: BudgetProfile,
-                 *, seed: int = 0):
+                 *, seed: int):
         self.spark = spark
         self.bundle = bundle
         self.budget = budget

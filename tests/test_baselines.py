@@ -1,4 +1,6 @@
 """Baselines: Featuretools-lite, Random, ARDA, AutoFeature."""
+from collections import OrderedDict
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -10,7 +12,9 @@ from repro.baselines import (
     featuretools_features,
     random_features,
 )
+from repro.baselines import arda
 from repro.baselines.featuretools_lite import ft_name
+from repro.core.executor import QUERY_ERRORS
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +66,22 @@ class TestRandom:
         b = random_features(tmall_ctx, seed=1)
         assert [f.sql for f in a] != [f.sql for f in b]
 
+    def test_skips_a_failed_query(self, monkeypatch, tmall_ctx):
+        """A query Spark rejects is dropped; the others are still returned.
+        The failure runs against an empty memo, so the shared one keeps no
+        stored exception."""
+        ex = tmall_ctx.executor
+        want = random_features(tmall_ctx, seed=0)
+        bad = want[1].sql
+        collect = ex._collect
+        monkeypatch.setattr(ex, "_cache", OrderedDict())
+        monkeypatch.setattr(ex, "_collect",
+                            lambda sql: collect("SELECT no_such_col" if sql == bad else sql))
+        got = random_features(tmall_ctx, seed=0)
+        assert [(f.name, f.sql) for f in got] == [(f.name, f.sql) for f in want if f.sql != bad]
+        with pytest.raises(QUERY_ERRORS, match="no_such_col"):
+            ex.run_sql(bad)
+
 
 class TestARDA:
     def test_selects_relevant_columns(self, household_ctx):
@@ -73,6 +93,31 @@ class TestARDA:
         assert ("education_years" in names or "monthly_rent" in names
                 or "overcrowding" in names)
         assert ev.evaluate(feats).test_metric > ev.evaluate([]).test_metric
+
+    def test_top_n_by_importance_when_nothing_beats_noise(self, monkeypatch, household_ctx):
+        """Every noise probe outranks every candidate, so no threshold keeps
+        one: ARDA returns the ``n_features`` most important candidates and
+        scores no threshold."""
+
+        class NoiseWins:  # importances: candidate i gets (i + 1) / 1000, noise 1
+            def __init__(self, **_):
+                pass
+
+            def fit(self, X, y):
+                self.n_real = X.shape[1] - arda._N_NOISE
+                return self
+
+            def feature_importances(self):
+                return np.r_[np.arange(1, self.n_real + 1) / 1000, np.ones(arda._N_NOISE)]
+
+        ev = household_ctx.evaluator("LR", seed=0)
+        monkeypatch.setattr(arda, "RandomForest", NoiseWins)
+        monkeypatch.setattr(ev, "valid_loss", lambda feats: pytest.fail("scored a threshold"))
+        pool = arda.direct_join_pool(household_ctx, prefix="arda0")
+        n = household_ctx.budget.n_features
+        assert len(pool) > n
+        feats = arda_features(household_ctx, ev, seed=0)
+        assert [f.name for f in feats] == [f.name for f in pool[::-1][:n]]
 
 
 class TestAutoFeature:

@@ -5,7 +5,9 @@ import traceback
 import pandas as pd
 import pytest
 
+from repro.core.config import TINY
 from repro.core.executor import QUERY_ERRORS, FeatureFrame, QueryExecutor, merge_features
+from repro.core.feataug import DatasetContext
 from repro.core.space import Predicate, Query
 from repro.core.sqlgen import build_sql
 from repro.core.template import PAPER_AGGS
@@ -43,31 +45,52 @@ class TestFeatureFrame:
         assert f.sql == build_sql(q, lineitem_executor.view)
 
 
+def _stored_rdds(spark) -> dict[int, int]:
+    """RDD id -> cached partitions, for every RDD with blocks in storage."""
+    return {i.id(): i.numCachedPartitions()
+            for i in spark.sparkContext._jsc.sc().getRDDStorageInfo()}
+
+
 class TestSetUp:
     def test_one_job_and_one_cached_partition(self, spark):
-        """Set-up runs one Spark action, the count that fills the cache, and
-        caches one partition. Adaptive execution runs a count as one job per
-        stage, so the job count is compared with a plain ``count`` of R."""
+        """Set-up runs exactly one Spark job, the one that fills the
+        checkpoint, and stores R as one partition."""
         sc = spark.sparkContext
-
-        def jobs(group, fn):
-            sc.setJobGroup(group, "QueryExecutor set-up")
-            try:
-                out = fn()
-            finally:
-                sc.setLocalProperty("spark.jobGroup.id", None)
-                sc.setLocalProperty("spark.job.description", None)
-            return out, len(sc.statusTracker().getJobIdsForGroup(group))
-
+        group = "executor-setup"
         R = spark.range(3000, numPartitions=3).selectExpr("id % 7 AS k", "id AS a")
-        _, one_count = jobs("r-count", R.count)
-        ex, n_jobs = jobs("executor-setup", lambda: QueryExecutor(spark, R, view="setup_test"))
+        before = _stored_rdds(spark)
+        sc.setJobGroup(group, "QueryExecutor set-up")
         try:
-            assert n_jobs == one_count >= 1
+            ex = QueryExecutor(spark, R, view="setup_test")
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        n_jobs = len(sc.statusTracker().getJobIdsForGroup(group))
+        try:
+            assert n_jobs == 1
+            stored = {i: n for i, n in _stored_rdds(spark).items() if i not in before}
+            assert list(stored.values()) == [1]
             assert ex.R.rdd.getNumPartitions() == 1
             assert ex.run_sql("SELECT COUNT(*) AS n FROM setup_test")["n"].tolist() == [3000]
         finally:
             ex.unpersist()
+
+    def test_queries_do_not_carry_rs_rows(self, spark, tmall_ctx):
+        """A bundle's R is built from pandas, so its plan holds its rows;
+        a generated query reads the checkpoint instead."""
+        assert "LocalRelation" in tmall_ctx.bundle.R._jdf.queryExecution().analyzed().toString()
+        q = Query("SUM", "price", (), tmall_ctx.bundle.keys)
+        plan = spark.sql(build_sql(q, tmall_ctx.executor.view))._jdf.queryExecution()
+        optimized = plan.optimizedPlan().toString()
+        assert "LocalRelation" not in optimized and "LogicalRDD" in optimized
+
+    def test_close_frees_everything_stored(self, spark, tiny_tmall):
+        before = set(_stored_rdds(spark))
+        ctx = DatasetContext(spark, tiny_tmall, TINY, seed=0)
+        assert set(_stored_rdds(spark)) > before
+        ctx.close()
+        assert set(_stored_rdds(spark)) == before
+        assert not spark.catalog.tableExists(ctx.executor.view)
 
 
 class TestMemoisation:
