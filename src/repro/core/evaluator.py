@@ -41,7 +41,6 @@ class TableSplits:
     train: pd.DataFrame
     valid: pd.DataFrame
     test: pd.DataFrame
-    keys: tuple[str, ...]
     base_features: tuple[str, ...]
     task: str
     label: str = "label"
@@ -66,8 +65,8 @@ class TableSplits:
         return out
 
 
-def make_splits(D: pd.DataFrame, keys, base_features, task: str, *,
-                seed: int = 0) -> TableSplits:
+def make_splits(D: pd.DataFrame, base_features, task: str, *,
+                seed: int) -> TableSplits:
     """Shuffle-split D by the paper's 0.6/0.2/0.2 ratios."""
     rng = np.random.default_rng(seed)
     idx = rng.permutation(len(D))
@@ -78,7 +77,6 @@ def make_splits(D: pd.DataFrame, keys, base_features, task: str, *,
         train=D.iloc[idx[:n_tr]].reset_index(drop=True),
         valid=D.iloc[idx[n_tr : n_tr + n_va]].reset_index(drop=True),
         test=D.iloc[idx[n_tr + n_va :]].reset_index(drop=True),
-        keys=tuple(keys),
         base_features=tuple(base_features),
         task=task,
     )
@@ -96,7 +94,7 @@ class EvalResult:
 class DownstreamEvaluator:
     """Trains the downstream model on (base + candidate) features."""
 
-    def __init__(self, splits: TableSplits, model_name: str, *, seed: int = 0):
+    def __init__(self, splits: TableSplits, model_name: str, *, seed: int):
         self.splits = splits
         self.model_name = model_name
         self.seed = seed

@@ -47,7 +47,7 @@ class DatasetContext:
             bundle.R, list(bundle.where_attrs),
             cat_cap=budget.cat_domain_cap, grid=budget.grid_size,
         )
-        self.splits = bundle.splits(seed)
+        self.splits = bundle.splits(seed=seed)
 
     def space(self, combo) -> QuerySpace:
         t = QueryTemplate(self.bundle.aggs, self.bundle.agg_attrs,

@@ -47,7 +47,7 @@ _PRIOR = 1.0
 
 
 class TPE:
-    def __init__(self, shape: tuple[int, ...], *, seed: int = 0, n_startup: int = 6):
+    def __init__(self, shape: tuple[int, ...], *, seed: int, n_startup: int):
         if any(s < 1 for s in shape):
             raise ValueError("every dimension needs at least one option")
         self.shape = shape

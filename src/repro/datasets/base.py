@@ -32,9 +32,8 @@ class DatasetBundle:
     aggs: tuple[str, ...] = PAPER_AGGS
     info: dict = field(default_factory=dict)
 
-    def splits(self, seed: int = 0) -> TableSplits:
-        return make_splits(self.D, self.keys, self.base_features,
-                           self.task, seed=seed)
+    def splits(self, *, seed: int) -> TableSplits:
+        return make_splits(self.D, self.base_features, self.task, seed=seed)
 
     @property
     def n_r_rows(self) -> int:

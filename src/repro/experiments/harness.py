@@ -120,7 +120,7 @@ def descriptor_tables(spark, gens: dict, *, scale: float = DEFAULT_SCALE
     stats, templates = [], []
     for gen in gens.values():
         b = gen(spark, scale=scale, seed=7)
-        s = b.splits(0)
+        s = b.splits(seed=0)
         stats.append({
             "dataset": b.name,
             "n_tables": b.info.get("n_tables", 2),

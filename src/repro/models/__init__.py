@@ -28,7 +28,7 @@ from repro.models.metrics import auc_score, macro_f1, rmse
 MODEL_NAMES = ("LR", "XGB", "RF", "DeepFM")
 
 
-def make_model(name: str, task: str, *, seed: int = 0):
+def make_model(name: str, task: str, *, seed: int):
     """Instantiate a downstream model by its paper name.
 
     ``task`` is ``"binary"``, ``"multiclass"`` or ``"regression"``. The

@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.models.logistic import sigmoid, standardise
+
 _EMBED_DIM = 4
 _HIDDEN = 16  # MLP hidden units
 _EPOCHS = 15
 _BATCH_SIZE = 256
 _L2 = 1e-4
 _LR, _B1, _B2, _EPS = 0.01, 0.9, 0.999, 1e-8  # Adam
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -30, 30)))
 
 
 class _Adam:
@@ -40,7 +38,7 @@ class _Adam:
 
 
 class DeepFM:
-    def __init__(self, task: str = "binary", *, seed: int = 0):
+    def __init__(self, *, task: str, seed: int):
         if task == "multiclass":
             raise ValueError("DeepFM only works for binary/regression tasks (per paper §VII-C)")
         self.task = task
@@ -49,9 +47,7 @@ class DeepFM:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DeepFM":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
-        self._mu, self._sd = X.mean(0), X.std(0)
-        self._sd[self._sd < 1e-12] = 1.0
-        Xs = (X - self._mu) / self._sd
+        Xs, self._mu, self._sd = standardise(X)
         n, d = Xs.shape
         k, h = _EMBED_DIM, _HIDDEN
         rng = np.random.default_rng(self.seed)
@@ -94,7 +90,7 @@ class DeepFM:
         k = _EMBED_DIM
         raw, (X_, E, S, Z, H) = self._forward(X)
         if self.task == "binary":
-            p = _sigmoid(raw)
+            p = sigmoid(raw)
             dr = (p - y) / n
         else:
             dr = (raw - y) / n
@@ -127,7 +123,7 @@ class DeepFM:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.task != "binary":
             raise ValueError("predict_proba undefined for regression")
-        p = _sigmoid(self._raw_scores(X))
+        p = sigmoid(self._raw_scores(X))
         return np.column_stack([1 - p, p])
 
     def predict(self, X: np.ndarray) -> np.ndarray:

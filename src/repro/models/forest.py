@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.tree import RegressionTree
+from repro.models.tree import RegressionTree, gain_shares
 
 _MAX_DEPTH = 5
 _FEATURE_FRAC = 0.6  # share of features each split considers
 
 
 class RandomForest:
-    def __init__(self, task: str = "binary", *, n_trees: int = 14, seed: int = 0):
+    def __init__(self, *, task: str, seed: int, n_trees: int = 14):
         self.task = task
         self.n_trees = n_trees
         self.seed = seed
@@ -65,5 +65,4 @@ class RandomForest:
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
 
     def feature_importances(self) -> np.ndarray:
-        tot = self._gains.sum()
-        return self._gains / tot if tot > 0 else self._gains
+        return gain_shares(self._gains)

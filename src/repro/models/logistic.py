@@ -5,6 +5,9 @@ downstream model and the "LR" low-cost proxy / selector model). Inputs are
 standardised internally so one learning rate works across feature scales.
 For ``task="regression"`` it degrades to ridge linear regression (closed
 form), which the paper uses on the Merchant regression dataset.
+
+The sigmoid, the row softmax and the input standardisation defined here
+are the only copies in :mod:`repro.models`; GBDT and DeepFM import them.
 """
 from __future__ import annotations
 
@@ -14,14 +17,20 @@ _L2 = 1e-3  # regularisation strength
 _STEP = 0.5  # gradient-descent step size on standardised inputs
 
 
-def _standardise(X: np.ndarray):
+def standardise(X: np.ndarray):
+    """(z-scored X, column means, column sds); a constant column keeps sd 1."""
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
     sd[sd < 1e-12] = 1.0
     return (X - mu) / sd, mu, sd
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -30, 30)))
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a 2-D score matrix."""
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
@@ -31,7 +40,7 @@ class LogisticRegression:
     """Softmax regression (binary is the 2-class special case), trained by
     ``n_iter`` full-batch steps. Training draws nothing at random."""
 
-    def __init__(self, task: str = "binary", *, n_iter: int = 200):
+    def __init__(self, *, task: str, n_iter: int = 200):
         self.task = task
         self.n_iter = n_iter
         self.coef_: np.ndarray | None = None
@@ -47,7 +56,7 @@ class LogisticRegression:
         W = np.zeros((d + 1, k))
         Xb = np.hstack([X, np.ones((n, 1))])
         for _ in range(self.n_iter):
-            P = _softmax(Xb @ W)
+            P = softmax(Xb @ W)
             G = Xb.T @ (P - Y) / n
             G[:-1] += _L2 * W[:-1]
             W -= _STEP * G
@@ -63,7 +72,7 @@ class LogisticRegression:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegression":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y).ravel()
-        Xs, self._mu, self._sd = _standardise(X)
+        Xs, self._mu, self._sd = standardise(X)
         if self.task == "regression":
             self._fit_regressor(Xs, y.astype(float))
         else:
@@ -78,7 +87,7 @@ class LogisticRegression:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.task == "regression":
             raise ValueError("predict_proba undefined for regression")
-        return _softmax(self._transform(X) @ self.coef_)
+        return softmax(self._transform(X) @ self.coef_)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.task == "regression":

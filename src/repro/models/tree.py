@@ -5,7 +5,7 @@ A single CART-style regressor supporting (a) plain squared-error targets
 weights when gradient/hessian vectors are supplied.
 
 Fitting is fully vectorised with the standard histogram trick: each feature
-is quantile-binned once per ``fit`` (uint8 codes); at every node the per-bin
+is quantile-binned once per ``fit`` (int16 codes); at every node the per-bin
 gradient/hessian sums come from ``np.bincount`` and a cumulative sum yields
 every split's gain in one shot, so cost is O(n + bins·d) per node instead of
 per-threshold boolean scans. Prediction descends index masks level by level
@@ -20,12 +20,17 @@ _N_BINS = 32  # quantile bins per feature
 _REG_LAMBDA = 1.0  # L2 on leaf weights (the λ in −Σg/(Σh+λ))
 
 
+def gain_shares(gains: np.ndarray) -> np.ndarray:
+    """Each feature's share of the total split gain (as is, if no split)."""
+    tot = gains.sum()
+    return gains / tot if tot > 0 else gains
+
+
 class _Node:
-    __slots__ = ("feature", "bin", "threshold", "left", "right", "value")
+    __slots__ = ("feature", "threshold", "left", "right", "value")
 
     def __init__(self, value: float):
         self.feature = -1
-        self.bin = -1
         self.threshold = 0.0
         self.left: "_Node | None" = None
         self.right: "_Node | None" = None
@@ -116,8 +121,8 @@ class RegressionTree:
         if best_f < 0:
             return node
         self.gains_[best_f] += best_gain
-        node.feature, node.bin = best_f, best_b
-        node.threshold = float(self._edges[best_f][best_b]) if len(self._edges[best_f]) else 0.0
+        node.feature = best_f
+        node.threshold = float(self._edges[best_f][best_b])
         mask = codes[idx, best_f] <= best_b  # ⟺ x < edges[best_b]
         node.left = self._build(codes, g, h, idx[mask], depth + 1)
         node.right = self._build(codes, g, h, idx[~mask], depth + 1)

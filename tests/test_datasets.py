@@ -55,7 +55,7 @@ class TestSchema:
         assert b2.D.equals(bundles[name].D)
 
     def test_splits_ratios(self, bundles, name):
-        s = bundles[name].splits(0)
+        s = bundles[name].splits(seed=0)
         n = len(bundles[name].D)
         assert len(s.train) == int(n * 0.6)
         assert len(s.train) + len(s.valid) + len(s.test) == n

@@ -22,19 +22,19 @@ def _toy_table(n=300, seed=0):
 class TestMakeSplits:
     def test_ratios(self):
         D, _ = _toy_table(1000)
-        s = make_splits(D, ("k",), ("b1",), "binary", seed=0)
+        s = make_splits(D, ("b1",), "binary", seed=0)
         assert len(s.train) == 600 and len(s.valid) == 200 and len(s.test) == 200
 
     def test_disjoint_and_complete(self):
         D, _ = _toy_table(200)
-        s = make_splits(D, ("k",), ("b1",), "binary", seed=1)
+        s = make_splits(D, ("b1",), "binary", seed=1)
         ks = np.concatenate([s.train.k, s.valid.k, s.test.k])
         assert len(ks) == 200 and len(set(ks)) == 200
 
     def test_seed_changes_split(self):
         D, _ = _toy_table(200)
-        a = make_splits(D, ("k",), ("b1",), "binary", seed=0)
-        b = make_splits(D, ("k",), ("b1",), "binary", seed=1)
+        a = make_splits(D, ("b1",), "binary", seed=0)
+        b = make_splits(D, ("b1",), "binary", seed=1)
         assert set(a.train.k) != set(b.train.k)
 
 
@@ -63,15 +63,15 @@ class TestMergeFeatures:
         assert merge_features(base, []).equals(base)
 
 
-def _evaluator_on(split: pd.DataFrame, keys) -> DownstreamEvaluator:
-    return DownstreamEvaluator(TableSplits(split, split, split, keys, ("b1",), "binary"),
-                               "LR")
+def _evaluator_on(split: pd.DataFrame) -> DownstreamEvaluator:
+    return DownstreamEvaluator(TableSplits(split, split, split, ("b1",), "binary"),
+                               "LR", seed=0)
 
 
 class TestMatrix:
     def test_base_first_then_features_in_order(self):
         split = pd.DataFrame({"k": [1, 2, 3], "b1": [0.5, 1.5, 2.5], "label": [0, 1, 0]})
-        ev = _evaluator_on(split, ("k",))
+        ev = _evaluator_on(split)
         f1 = FeatureFrame("f1", ("k",), pd.DataFrame({"k": [1, 3], "f1": [5.0, 7.0]}),
                           sql="SELECT f1")
         f2 = FeatureFrame("f2", ("k",), pd.DataFrame({"k": [2], "f2": [9.0]}), sql="SELECT f2")
@@ -86,7 +86,7 @@ class TestMatrix:
     def test_subset_key_feature_on_composite_key_split(self):
         split = pd.DataFrame({"a": [1, 1, 2, 3], "b": [1, 2, 1, 1],
                               "b1": [0.0, 1.0, 2.0, 3.0], "label": [0, 1, 1, 0]})
-        ev = _evaluator_on(split, ("a", "b"))
+        ev = _evaluator_on(split)
         g = FeatureFrame("g", ("a",), pd.DataFrame({"a": [1, 2], "g": [4.0, 6.0]}),
                          sql="SELECT g")
         h = FeatureFrame("h", ("a", "b"), pd.DataFrame({"a": [1], "b": [2], "h": [3.0]}),
@@ -99,7 +99,7 @@ class TestMatrix:
 
     def test_non_finite_values_cleaned(self):
         split = pd.DataFrame({"k": [1, 2, 3], "b1": [np.nan, 1.0, 2.0], "label": [0, 1, 0]})
-        ev = _evaluator_on(split, ("k",))
+        ev = _evaluator_on(split)
         f = FeatureFrame("f", ("k",), pd.DataFrame({"k": [1, 2, 3],
                                                     "f": [np.nan, np.inf, -np.inf]}),
                          sql="SELECT f")
@@ -113,7 +113,7 @@ class TestMatrix:
         D = pd.DataFrame({"a": rng.integers(0, 8, n), "b": np.arange(n) % 5,
                           "b1": rng.normal(0, 1, n), "label": rng.integers(0, 2, n)})
         D = D.drop_duplicates(["a", "b"])
-        s = make_splits(D, ("a", "b"), ("b1",), "binary", seed=0)
+        s = make_splits(D, ("b1",), "binary", seed=0)
         full = D[["a", "b"]].iloc[::2].reset_index(drop=True)  # half the keys absent
         vals = rng.normal(0, 1, len(full))
         vals[:3] = [np.nan, np.inf, -np.inf]
@@ -125,7 +125,7 @@ class TestMatrix:
 
     def test_memoised_equals_merge_on_every_split(self):
         s, feats = self._composite_splits()
-        ev = DownstreamEvaluator(s, "LR")
+        ev = DownstreamEvaluator(s, "LR", seed=0)
         for split in (s.train, s.valid, s.test):
             expected = np.nan_to_num(
                 merge_features(split, feats)[["b1", "g", "h"]].to_numpy(dtype=float),
@@ -142,7 +142,7 @@ class TestMatrix:
         calls = []
         monkeypatch.setattr(evaluator_mod, "merge_features",
                             lambda base, fs: calls.append(fs) or merge_features(base, fs))
-        ev1, ev2 = DownstreamEvaluator(s, "LR"), DownstreamEvaluator(s, "XGB")
+        ev1, ev2 = DownstreamEvaluator(s, "LR", seed=0), DownstreamEvaluator(s, "XGB", seed=0)
         first = ev1.feature_on(s.valid, feats[0])
         assert len(calls) == 1
         again = ev2.feature_on(s.valid, feats[0])  # memo shared by the splits' evaluators
@@ -157,7 +157,7 @@ class TestMatrix:
 
     def test_frames_without_sql_are_not_confused(self):
         s, _ = self._composite_splits()
-        ev = DownstreamEvaluator(s, "LR")
+        ev = DownstreamEvaluator(s, "LR", seed=0)
         keys = s.train[["a", "b"]]
         # the memo keys columns by SQL text, so a frame must carry one
         with pytest.raises(TypeError, match="sql"):
@@ -171,7 +171,7 @@ class TestMatrix:
 
     def test_frame_that_is_not_a_split(self):
         s, feats = self._composite_splits()
-        ev = DownstreamEvaluator(s, "LR")
+        ev = DownstreamEvaluator(s, "LR", seed=0)
         other = s.train.iloc[::-1].reset_index(drop=True)  # equal rows, not a split
         expected = ev.matrix(s.train, feats)  # fill the train memo
         for call in (lambda: ev.matrix(other, feats), lambda: ev.matrix(other, []),
@@ -182,7 +182,7 @@ class TestMatrix:
 
     def test_labels(self):
         D, _ = _toy_table(100)
-        s = make_splits(D, ("k",), ("b1",), "binary", seed=0)
+        s = make_splits(D, ("b1",), "binary", seed=0)
         ev = DownstreamEvaluator(s, "LR", seed=0)
         for split in (s.train, s.valid, s.test):
             np.testing.assert_array_equal(ev.labels(split), split["label"].to_numpy())
@@ -191,7 +191,7 @@ class TestMatrix:
 class TestDownstreamEvaluator:
     def test_signal_feature_lowers_loss(self):
         D, _ = _toy_table(400)
-        s = make_splits(D, ("k",), ("b1",), "binary", seed=0)
+        s = make_splits(D, ("b1",), "binary", seed=0)
         ev = DownstreamEvaluator(s, "LR", seed=0)
         base_loss = ev.valid_loss([])
         sig_loss = ev.valid_loss([_feature(D, "sig", "f_sig")])
@@ -199,7 +199,7 @@ class TestDownstreamEvaluator:
 
     def test_evaluate_reports_test_metric(self):
         D, _ = _toy_table(400)
-        s = make_splits(D, ("k",), ("b1",), "binary", seed=0)
+        s = make_splits(D, ("b1",), "binary", seed=0)
         ev = DownstreamEvaluator(s, "LR", seed=0)
         res = ev.evaluate([_feature(D, "sig", "f")])
         assert 0.8 < res.test_metric <= 1.0
@@ -208,7 +208,7 @@ class TestDownstreamEvaluator:
 
     def test_counts_fits(self):
         D, _ = _toy_table(200)
-        s = make_splits(D, ("k",), ("b1",), "binary", seed=0)
+        s = make_splits(D, ("b1",), "binary", seed=0)
         ev = DownstreamEvaluator(s, "LR", seed=0)
         ev.valid_loss([])
         ev.valid_loss([])
@@ -216,7 +216,7 @@ class TestDownstreamEvaluator:
 
     def test_feature_on_aligns_rows(self):
         D, _ = _toy_table(100)
-        s = make_splits(D, ("k",), ("b1",), "binary", seed=0)
+        s = make_splits(D, ("b1",), "binary", seed=0)
         ev = DownstreamEvaluator(s, "LR", seed=0)
         x = ev.feature_on(s.train, _feature(D, "sig", "f"))
         expected = D.set_index("k").loc[s.train["k"], "sig"].to_numpy()
@@ -224,7 +224,7 @@ class TestDownstreamEvaluator:
 
     def test_deterministic(self):
         D, _ = _toy_table(200)
-        s = make_splits(D, ("k",), ("b1",), "binary", seed=0)
+        s = make_splits(D, ("b1",), "binary", seed=0)
         r1 = DownstreamEvaluator(s, "XGB", seed=2).evaluate([])
         r2 = DownstreamEvaluator(s, "XGB", seed=2).evaluate([])
         assert r1.test_metric == r2.test_metric

@@ -91,9 +91,9 @@ class TestMicroGrids:
     def test_table6_subset(self, spark, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS", str(tmp_path))
         df = run_table(spark, "table6", scale=SCALE, budget=TINY, seed=0,
-                       datasets=("Household",), models=("LR",),
+                       datasets=("Household",), models=("LR", "XGB"),
                        methods=("FT", "ARDA", "AutoFeat-MAB", "FeatAug"))
-        assert len(df) == 4 and df["value"].notna().all()
+        assert len(df) == 8 and df["value"].notna().all()
         assert (df["metric"] == "F1").all()
 
     def test_table7_subset(self, spark, tmp_path, monkeypatch):

@@ -158,7 +158,7 @@ class TestImportances:
 class TestDeepFM:
     def test_multiclass_rejected(self):
         with pytest.raises(ValueError):
-            make_model("DeepFM", "multiclass")
+            make_model("DeepFM", "multiclass", seed=0)
 
     def test_learns_interaction(self, monkeypatch):
         # XOR-ish product signal — linear part can't, FM/deep part can
@@ -182,6 +182,67 @@ def test_only_rf_and_deepfm_depend_on_seed(name):
         assert np.array_equal(p0, p7) == (name in ("LR", "XGB")), task
 
 
+#: (task, model) -> first three rows of ``predict_proba`` (classification) or
+#: ``predict`` (regression) after fitting on the n=200 data above with
+#: seed 0; ``"imp"`` entries are the GBDT / RF ``feature_importances()``.
+PINNED = {
+    ("binary", "LR"): [[0.5189931514813649, 0.481006848518635],
+                       [0.00020783747011624142, 0.9997921625298838],
+                       [0.999952499555414, 4.7500444586007666e-05]],
+    ("binary", "XGB"): [[0.8852832137934762, 0.11471678620652377],
+                        [0.008047155879073786, 0.9919528441209262],
+                        [0.9726053039381373, 0.02739469606186276]],
+    ("binary", "XGB", "imp"): [0.5702280047615119, 0.2522479169592415, 0.07255421629459383,
+                               0.02631038038127884, 0.05391123155012057, 0.024748250053253373],
+    ("binary", "RF"): [[0.823637336974974, 0.1763626630250259],
+                       [0.017056615303050048, 0.9829433846969499],
+                       [0.9341276461838787, 0.06587235381612136]],
+    ("binary", "RF", "imp"): [0.6072276672841149, 0.26561842232929306, 0.05873235864674539,
+                              0.02363984500538514, 0.03198311988554614, 0.012798586848915296],
+    ("binary", "DeepFM"): [[0.5873847842657969, 0.4126152157342031],
+                           [0.22530046342982368, 0.7746995365701763],
+                           [0.7185387330340873, 0.2814612669659126]],
+    ("multiclass", "LR"): [[0.04821088807056666, 0.8217663039727434, 0.13002280795668983],
+                           [1.9086172757144018e-07, 0.007230669979356692, 0.9927691391589156],
+                           [0.9992135416760297, 0.0007864545358393136, 3.788130880381275e-09]],
+    ("multiclass", "XGB"): [[0.0018351904770929413, 0.9917445776592089, 0.006420231863698057],
+                            [4.565337317537878e-05, 0.00024452257478046086, 0.9997098240520441],
+                            [0.9951646846707798, 0.004802804734592467, 3.2510594627739916e-05]],
+    ("multiclass", "XGB", "imp"): [0.6763875303032886, 0.283701279912628, 0.007643799166735242,
+                                   0.008447458386974027, 0.01145912096126691,
+                                   0.012360811269107257],
+    ("multiclass", "RF"): [[1.3608371481003687e-09, 0.9259408341166939, 0.07405916452246904],
+                           [1.0444458064250036e-09, 1.0444458064250036e-09, 0.9999999979111084],
+                           [0.9999999978654882, 1.0672559478823523e-09, 1.0672559478823523e-09]],
+    ("multiclass", "RF", "imp"): [0.652952040980909, 0.2282137089138241, 0.022739423294558785,
+                                  0.02629574759869748, 0.04062227354718583,
+                                  0.029176805664824876],
+    ("regression", "LR"): [-0.3882393865464604, 3.2874913089288653, -3.4051758771031775],
+    ("regression", "XGB"): [-0.5795213978577605, 3.887849678215788, -3.194770506970208],
+    ("regression", "XGB", "imp"): [0.7906614637873989, 0.0010984214396213485,
+                                   0.19972004552309147, 0.004831676495399038,
+                                   0.0019233977870058293, 0.0017649949674835644],
+    ("regression", "RF"): [-0.39015620558010333, 2.780145513233921, -2.1145788968190047],
+    ("regression", "RF", "imp"): [0.7384020498705215, 0.006723264778949069, 0.22999862792112408,
+                                  0.006039785815026655, 0.014879797414999826,
+                                  0.0039564741993791145],
+    ("regression", "DeepFM"): [-0.6980797315271934, 1.0014713310244496, -0.9121224533410799],
+}
+
+
+@pytest.mark.parametrize("task,name", sorted({k[:2] for k in PINNED}))
+def test_outputs_pinned(task, name):
+    # refactors of the model code must leave every output unchanged
+    data = {"binary": _binary_data, "multiclass": _multi_data, "regression": _reg_data}[task]
+    X, y = data(n=200)
+    m = make_model(name, task, seed=0).fit(X, y)
+    out = m.predict(X[:3]) if task == "regression" else m.predict_proba(X[:3])
+    np.testing.assert_allclose(out, PINNED[task, name], rtol=1e-9, atol=0)
+    if (task, name, "imp") in PINNED:
+        np.testing.assert_allclose(m.feature_importances(), PINNED[task, name, "imp"],
+                                   rtol=1e-9, atol=0)
+
+
 def test_make_model_unknown_raises():
     with pytest.raises(ValueError):
-        make_model("SVM", "binary")
+        make_model("SVM", "binary", seed=0)

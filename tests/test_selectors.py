@@ -40,7 +40,7 @@ def _setup(task: str, n_pool: int = 8):
     y = cols[SIGNAL] + 0.3 * rng.normal(size=N_ROWS)
     D = pd.DataFrame({"k": np.arange(N_ROWS), "b0": rng.normal(size=N_ROWS),
                       "label": (y > 0).astype(int) if task == "binary" else y})
-    splits = make_splits(D, ("k",), ("b0",), task, seed=0)
+    splits = make_splits(D, ("b0",), task, seed=0)
     pool = [FeatureFrame(name=f"p{i}", keys=("k",),
                          frame=pd.DataFrame({"k": D["k"], f"p{i}": c}), sql=f"pool {i}")
             for i, c in enumerate(cols)]

@@ -24,7 +24,7 @@ def _planted_objective(shape, optimum, noise=0.0, seed=0):
 
 class TestSuggest:
     def test_respects_shape(self):
-        tpe = TPE((3, 5, 2), seed=0)
+        tpe = TPE((3, 5, 2), seed=0, n_startup=6)
         for _ in range(20):
             cfg = tpe.suggest([])
             assert len(cfg) == 3
@@ -49,7 +49,7 @@ class TestSuggest:
 
     def test_invalid_shape_raises(self):
         with pytest.raises(ValueError):
-            TPE((3, 0))
+            TPE((3, 0), seed=0, n_startup=6)
 
 
 class TestRunTPE:
